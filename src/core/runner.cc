@@ -23,24 +23,37 @@ Runner::capture(Workload &w, Impl impl, int vec_bits)
 }
 
 void
+Runner::execute(Workload &w, Impl impl, int vec_bits, trace::Recorder *rec)
+{
+    trace::ScopedRecorder scoped(rec);
+    switch (impl) {
+      case Impl::Scalar:
+        w.runScalar();
+        break;
+      case Impl::Auto:
+        w.runAuto();
+        break;
+      case Impl::Neon:
+        w.runNeon(vec_bits);
+        break;
+    }
+}
+
+void
 Runner::captureInto(Workload &w, Impl impl, int vec_bits,
                     std::vector<trace::Instr> *out)
 {
     trace::Recorder rec(out);
-    {
-        trace::ScopedRecorder scoped(&rec);
-        switch (impl) {
-          case Impl::Scalar:
-            w.runScalar();
-            break;
-          case Impl::Auto:
-            w.runAuto();
-            break;
-          case Impl::Neon:
-            w.runNeon(vec_bits);
-            break;
-        }
-    }
+    execute(w, impl, vec_bits, &rec);
+}
+
+void
+Runner::captureTo(Workload &w, Impl impl, int vec_bits,
+                  trace::PackedTrace::Builder *builder)
+{
+    builder->reset();
+    trace::Recorder rec(builder);
+    execute(w, impl, vec_bits, &rec);
 }
 
 KernelRun
@@ -58,11 +71,9 @@ Runner::runMany(Workload &w, Impl impl,
     trace::MixStats mix;
     trace::PackedTrace packed;
     {
-        const auto instrs = capture(w, impl, vec_bits);
-        mix.addTrace(instrs);
-        packed = trace::PackedTrace::pack(instrs);
-        // The 64-byte-per-instr AoS buffer dies here; simulation runs
-        // off the packed encoding.
+        trace::PackedTrace::Builder builder;
+        captureTo(w, impl, vec_bits, &builder);
+        packed = builder.finish(&mix);
     }
     // Results come out of the replay engine power-complete (the power
     // model is fused into CoreModel::finish).

@@ -18,6 +18,8 @@
 #include "core/registry.hh"
 #include "sim/core_model.hh"
 #include "sim/power.hh"
+#include "trace/packed.hh"
+#include "trace/recorder.hh"
 #include "trace/stats.hh"
 
 namespace swan::core
@@ -88,14 +90,22 @@ class Runner
     static std::vector<trace::Instr> capture(Workload &w, Impl impl,
                                              int vec_bits = 128);
 
-    /**
-     * capture() into a caller-owned buffer (cleared first, capacity
-     * kept), for drivers that capture many traces back to back and
-     * must keep their heap evolution capture-count-independent (see
-     * trace::Recorder's external-buffer mode).
-     */
+    /** capture() into a caller-owned buffer (cleared first, capacity
+     *  kept). */
     static void captureInto(Workload &w, Impl impl, int vec_bits,
                             std::vector<trace::Instr> *out);
+
+    /**
+     * Execute one implementation with every instruction encoded
+     * straight into @p builder (reset first; the caller finishes it).
+     * No AoS buffer exists at any point, and builder.finish(&mix)
+     * yields the packed trace and its MixStats — the same bytes and
+     * counters as pack() and MixStats::addTrace of capture(). Callers
+     * that capture many traces back to back (the sweep scheduler)
+     * reuse one Builder, whose storage is mmap-backed.
+     */
+    static void captureTo(Workload &w, Impl impl, int vec_bits,
+                          trace::PackedTrace::Builder *builder);
 
     /** Capture + simulate + power for one implementation. */
     KernelRun run(Workload &w, Impl impl, const sim::CoreConfig &cfg,
@@ -103,8 +113,8 @@ class Runner
 
     /**
      * Capture once, replay against many core configurations in a
-     * single pass on the fused engine (sim::replay): the AoS capture
-     * buffer is packed and freed before simulation, and each packed
+     * single pass on the fused engine (sim::replay): capture encodes
+     * straight into a packed trace (captureTo), and each packed
      * instruction is decoded once — straight into registers — with
      * every configuration's core model stepped from the same decoded
      * fields. Result i is bit-identical to run() with cfgs[i].
@@ -124,6 +134,10 @@ class Runner
                                  int vec_bits = 128) const;
 
   private:
+    /** Run @p impl of @p w under @p rec. */
+    static void execute(Workload &w, Impl impl, int vec_bits,
+                        trace::Recorder *rec);
+
     Options opts_;
 };
 

@@ -70,6 +70,10 @@ name(Phase p)
         return "promote";
       case Phase::Demote:
         return "demote";
+      case Phase::WorkloadMake:
+        return "workload_make";
+      case Phase::TraceStore:
+        return "trace_store";
     }
     return "unknown";
 }

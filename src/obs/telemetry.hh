@@ -52,8 +52,8 @@ enum class Phase : uint8_t
     Sweep = 0,   //!< whole runSweep envelope (one per sweep)
     GridExpand,  //!< spec -> flattened point list
     CacheLookup, //!< result probe (phase 1a) / packed-trace disk read
-    Capture,     //!< instrumented kernel execution -> Instr stream
-    Pack,        //!< Instr stream -> varint PackedTrace
+    Capture,     //!< instrumented kernel execution, encoded as it runs
+    Pack,        //!< Builder::finish: exact-size PackedTrace + MixStats
     Spill,       //!< memo-budget eviction write / worker reload
     Replay,      //!< fused multi-config packed-trace traversal
     Publish,     //!< result stores into the cache tiers
@@ -62,9 +62,11 @@ enum class Phase : uint8_t
     Recovery,    //!< parent re-execution of units a dead shard left
     Promote,     //!< cache tier promotion (far->disk copy, RAM pin)
     Demote,      //!< cache tier demotion (cold-first eviction)
+    WorkloadMake, //!< workload construction (KernelSpec::make)
+    TraceStore,  //!< captured trace write into the trace tier
 };
 
-constexpr size_t kPhaseCount = size_t(Phase::Demote) + 1;
+constexpr size_t kPhaseCount = size_t(Phase::TraceStore) + 1;
 
 /** Lower-case stable phase name ("grid_expand", "replay", ...). */
 std::string_view name(Phase p);

@@ -390,20 +390,19 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
 
     // Acquire one group's packed trace: the on-disk trace tier when
     // warm, a fresh capture otherwise. Serial, capture-thread only.
-    // The capture and pack scratch buffers persist across all groups
-    // (freed once, here, when the sweep ends): steady-state captures
-    // then leave the capture thread's malloc state untouched, so the
-    // workload buffer addresses later captures record — which the
+    // Capture encodes straight into one Builder that persists across
+    // all groups: its storage is anonymous mmap with capacity kept, so
+    // captures leave the capture thread's malloc state untouched and
+    // the workload buffer addresses later captures record — which the
     // address-sensitive cache models feel — cannot depend on how many
-    // traces came before or on the memo budget.
-    std::vector<trace::Instr> captureBuf;
-    trace::PackedTrace::Scratch packScratch;
+    // traces came before or on the memo budget. Span guards are
+    // malloc-free, so bracketing the capture window is safe.
+    trace::PackedTrace::Builder builder;
     const auto acquireTrace = [&](TraceGroup &g) {
         const SweepPoint &p = points[g.points.front()];
         {
             // Packed-trace tier probe (and, on a hit, the disk read);
-            // arg = bytes served. Span guards are malloc-free, so
-            // bracketing the capture window is safe by construction.
+            // arg = bytes served.
             obs::Span probe(obs::Phase::CacheLookup);
             trace::PackedTrace t;
             if (cfg.cache &&
@@ -414,22 +413,26 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
                 return;
             }
         }
-        auto w = p.spec->make(p.options);
+        std::unique_ptr<core::Workload> w;
+        {
+            obs::Span make(obs::Phase::WorkloadMake);
+            w = p.spec->make(p.options);
+        }
         {
             obs::Span capture(obs::Phase::Capture);
-            core::Runner::captureInto(*w, p.impl, p.vecBits,
-                                      &captureBuf);
-            capture.addArg(captureBuf.size());
+            core::Runner::captureTo(*w, p.impl, p.vecBits, &builder);
+            capture.addArg(builder.size());
         }
-        g.mix.addTrace(captureBuf);
         {
             obs::Span pack(obs::Phase::Pack);
             g.trace = std::make_shared<trace::PackedTrace>(
-                trace::PackedTrace::pack(captureBuf, &packScratch));
+                builder.finish(&g.mix));
             pack.addArg(g.trace->byteSize());
         }
-        if (cfg.cache)
+        if (cfg.cache) {
+            obs::Span store(obs::Phase::TraceStore, g.trace->byteSize());
             cfg.cache->storeTrace(traceKeyFor(p), *g.trace, g.mix);
+        }
         g.captured = true;
     };
 

@@ -1,6 +1,10 @@
 #include "trace/packed.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#include "trace/recorder.hh"
+#include "trace/stats.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -11,36 +15,8 @@
 namespace swan::trace
 {
 
-using packed_detail::kHasAddr;
-using packed_detail::kHasDep0;
-using packed_detail::kHasDep1;
-using packed_detail::kHasDep2;
-using packed_detail::kHasIdJump;
-using packed_detail::kHasMulti;
-using packed_detail::kTagFlagBits;
-
 namespace
 {
-
-// --- varint / zigzag encode primitives --------------------------------
-// (The decode side lives in packed_detail in the header, shared with
-// the fused replay engine's inline cursor.)
-
-inline uint64_t
-zigzag(int64_t v)
-{
-    return (uint64_t(v) << 1) ^ uint64_t(v >> 63);
-}
-
-inline void
-putVarint(std::string &out, uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(char(uint8_t(v) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(char(uint8_t(v)));
-}
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -94,6 +70,20 @@ PackedTrace::Buf::release()
     n_ = 0;
 }
 
+void
+PackedTrace::Buf::grow(size_t used, size_t need)
+{
+    if (need <= n_)
+        return;
+    size_t cap = std::max<size_t>(n_, 64 * 1024);
+    while (cap < need)
+        cap *= 2;
+    Buf b(cap);
+    if (used)
+        std::memcpy(b.p_, p_, used);
+    *this = std::move(b);
+}
+
 PackedTrace
 PackedTrace::clone() const
 {
@@ -108,28 +98,129 @@ PackedTrace::clone() const
     return c;
 }
 
-// --- pack --------------------------------------------------------------
+// --- Builder ---------------------------------------------------------
+
+PackedTrace::Builder::Builder()
+    : memo_(sizeof(MemoSlot) << kMemoBits) // zero = every slot empty
+{
+    rehash(256);
+}
+
+uint32_t
+PackedTrace::Builder::memoSlot(const Instr &shape)
+{
+    uint64_t lo, hi;
+    shapeWords(shape, &lo, &hi);
+    return uint32_t(memoHash(lo, hi));
+}
+
+namespace
+{
+
+/** Exact-table slot hash: all 128 descriptor bits, well mixed. */
+inline uint64_t
+tableHash(uint64_t lo, uint64_t hi)
+{
+    uint64_t h = lo ^ (hi * 0x9e3779b97f4a7c15ull);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return h;
+}
+
+inline uint64_t
+tableHash(const void *desc)
+{
+    uint64_t w[2];
+    std::memcpy(w, desc, sizeof w);
+    return tableHash(w[0], w[1]);
+}
+
+} // namespace
+
+uint32_t
+PackedTrace::Builder::findOrInsert(uint64_t lo, uint64_t hi)
+{
+    const uint64_t w[2] = {lo, hi}; // Desc's byte layout
+    const size_t mask = tableSlots_ - 1;
+    size_t s = size_t(tableHash(lo, hi)) & mask;
+    while (const uint32_t e = table()[s]) {
+        if (std::memcmp(&descs()[e - 1], w, sizeof w) == 0)
+            return e - 1;
+        s = (s + 1) & mask;
+    }
+    const uint32_t idx = descCount_++;
+    descs_.grow(size_t(idx) * sizeof(Desc), size_t(idx + 1) * sizeof(Desc));
+    counts_.grow(size_t(idx) * sizeof(uint64_t),
+                 size_t(idx + 1) * sizeof(uint64_t));
+    std::memcpy(static_cast<void *>(&descs()[idx]), w, sizeof w);
+    counts()[idx] = 0;
+    table()[s] = idx + 1;
+    if (size_t(descCount_) * 2 > tableSlots_)
+        rehash(tableSlots_ * 2);
+    return idx;
+}
 
 void
-PackedTrace::assemble(const Desc *descs, uint32_t desc_count,
-                      const std::string &main, const std::string &multi,
-                      uint64_t count)
+PackedTrace::Builder::rehash(size_t slots)
 {
-    const size_t descBytes = size_t(desc_count) * sizeof(Desc);
-    buf_ = Buf(descBytes + main.size() + multi.size());
-    uint8_t *p = buf_.data();
-    if (descBytes)
-        std::memcpy(p, descs, descBytes);
-    if (!main.empty())
-        std::memcpy(p + descBytes, main.data(), main.size());
-    if (!multi.empty())
-        std::memcpy(p + descBytes + main.size(), multi.data(),
-                    multi.size());
-    count_ = count;
-    mainLen_ = main.size();
-    multiLen_ = multi.size();
-    descCount_ = desc_count;
+    table_ = Buf(slots * sizeof(uint32_t)); // zero = every slot empty
+    tableSlots_ = slots;
+    const size_t mask = slots - 1;
+    for (uint32_t i = 0; i < descCount_; ++i) {
+        size_t s = size_t(tableHash(&descs()[i])) & mask;
+        while (table()[s])
+            s = (s + 1) & mask;
+        table()[s] = i + 1;
+    }
 }
+
+void
+PackedTrace::Builder::reset()
+{
+    if (descCount_) {
+        std::memset(table_.data(), 0, table_.size());
+        std::memset(memo_.data(), 0, memo_.size());
+    }
+    mainLen_ = 0;
+    multiLen_ = 0;
+    descCount_ = 0;
+    count_ = 0;
+    prevId_ = 0;
+    prevAddr_ = 0;
+}
+
+PackedTrace
+PackedTrace::Builder::finish(MixStats *mix)
+{
+    const size_t descBytes = size_t(descCount_) * sizeof(Desc);
+    PackedTrace t;
+    t.buf_ = Buf(descBytes + mainLen_ + multiLen_);
+    uint8_t *p = t.buf_.data();
+    if (descBytes)
+        std::memcpy(p, descs_.data(), descBytes);
+    if (mainLen_)
+        std::memcpy(p + descBytes, main_.data(), mainLen_);
+    if (multiLen_)
+        std::memcpy(p + descBytes + mainLen_, multi_.data(), multiLen_);
+    t.count_ = count_;
+    t.mainLen_ = mainLen_;
+    t.multiLen_ = multiLen_;
+    t.descCount_ = descCount_;
+    if (mix) {
+        // Every MixStats counter reads shape fields only, so the mix
+        // of the trace is the sum over descriptors of count x shape.
+        Instr shape;
+        for (uint32_t i = 0; i < descCount_; ++i) {
+            expand(descs()[i], &shape);
+            mix->add(shape, counts()[i]);
+        }
+    }
+    reset();
+    return t;
+}
+
+// --- pack --------------------------------------------------------------
 
 PackedTrace
 PackedTrace::pack(const std::vector<Instr> &instrs)
@@ -141,77 +232,11 @@ PackedTrace::pack(const std::vector<Instr> &instrs)
 PackedTrace
 PackedTrace::pack(const std::vector<Instr> &instrs, Scratch *scratch)
 {
-    Scratch &s = *scratch;
-    s.clear();
-    s.main.reserve(instrs.size() * 8);
-
-    uint64_t prevId = 0;
-    uint64_t prevAddr = 0;
-    for (const Instr &i : instrs) {
-        Desc d;
-        d.size = i.size;
-        d.elemStride = i.elemStride;
-        d.cls = uint8_t(i.cls);
-        d.fu = uint8_t(i.fu);
-        d.latency = i.latency;
-        d.vecBytes = i.vecBytes;
-        d.lanes = i.lanes;
-        d.activeLanes = i.activeLanes;
-        d.stride = uint8_t(i.stride);
-
-        // Find-or-insert via hash with an exact-match chain, so a hash
-        // collision can never alias two different descriptors.
-        const uint64_t h = fnv1a(kFnvOffset, &d, sizeof d);
-        auto it = s.index.find(h);
-        int32_t idx = it == s.index.end() ? -1 : int32_t(it->second);
-        while (idx >= 0 &&
-               std::memcmp(&s.descs[size_t(idx)], &d, sizeof d) != 0)
-            idx = s.chain[size_t(idx)];
-        if (idx < 0) {
-            idx = int32_t(s.descs.size());
-            s.descs.push_back(d);
-            s.chain.push_back(it == s.index.end() ? -1
-                                                  : int32_t(it->second));
-            s.index[h] = uint32_t(idx);
-        }
-
-        uint64_t flags = 0;
-        if (i.addr != 0)
-            flags |= kHasAddr;
-        if (i.addr2 != 0)
-            flags |= kHasMulti;
-        if (i.id != prevId + 1)
-            flags |= kHasIdJump;
-        if (i.dep0 != 0)
-            flags |= kHasDep0;
-        if (i.dep1 != 0)
-            flags |= kHasDep1;
-        if (i.dep2 != 0)
-            flags |= kHasDep2;
-        putVarint(s.main,
-                  (uint64_t(uint32_t(idx)) << kTagFlagBits) | flags);
-        if (flags & kHasIdJump)
-            putVarint(s.main,
-                      zigzag(int64_t(i.id) - int64_t(prevId + 1)));
-        prevId = i.id;
-        if (flags & kHasDep0)
-            putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep0)));
-        if (flags & kHasDep1)
-            putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep1)));
-        if (flags & kHasDep2)
-            putVarint(s.main, zigzag(int64_t(i.id) - int64_t(i.dep2)));
-        if (flags & kHasAddr) {
-            putVarint(s.main, zigzag(int64_t(i.addr - prevAddr)));
-            prevAddr = i.addr;
-        }
-        if (flags & kHasMulti)
-            putVarint(s.multi, zigzag(int64_t(i.addr2 - i.addr)));
-    }
-
-    PackedTrace t;
-    t.assemble(s.descs.data(), uint32_t(s.descs.size()), s.main, s.multi,
-               instrs.size());
-    return t;
+    Builder &b = scratch->builder;
+    b.reset();
+    for (const Instr &i : instrs)
+        b.add(i);
+    return b.finish();
 }
 
 // --- decode ------------------------------------------------------------
@@ -239,7 +264,12 @@ PackedTrace::Cursor::reset()
 void
 PackedTrace::expandDesc(uint32_t idx, Instr *out) const
 {
-    const Desc &d = descs()[idx];
+    expand(descs()[idx], out);
+}
+
+void
+PackedTrace::expand(const Desc &d, Instr *out)
+{
     *out = Instr{};
     out->size = d.size;
     out->elemStride = d.elemStride;

@@ -26,6 +26,11 @@
  * Instr sequence, so replaying a packed trace is byte-identical to
  * replaying the AoS buffer it came from.
  *
+ * Encoding is incremental: PackedTrace::Builder appends one Instr at a
+ * time, and a Recorder in builder mode streams a capture straight into
+ * it — no AoS buffer, no separate pack pass. pack() is a loop over the
+ * same Builder, so both paths produce identical bytes.
+ *
  * Storage lives in anonymous mmap regions, not the C++ heap. The sweep
  * scheduler frees traces mid-sweep under the SWAN_TRACE_MEMO_BYTES
  * budget; captured traces record real workload buffer addresses and
@@ -37,27 +42,32 @@
 #ifndef SWAN_TRACE_PACKED_HH
 #define SWAN_TRACE_PACKED_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "swan/internal/contracts.hh"
 #include "trace/instr.hh"
-#include "trace/recorder.hh"
 
 namespace swan::trace
 {
 
+class MixStats;
+class Sink;
+
 /**
- * Decode primitives shared by the block decoder (packed.cc) and the
- * inline single-record Cursor path that the fused replay engine
- * (sim/core_model.cc) compiles into its step loop. Header-inline so
- * both consumers see one definition of the stream format.
+ * Stream-format primitives shared by the inline encoder
+ * (PackedTrace::Builder::add, called per recorded instruction), the
+ * block decoder (packed.cc) and the inline single-record Cursor path
+ * that the fused replay engine (sim/core_model.cc) compiles into its
+ * step loop. Header-inline so every consumer sees one definition of
+ * the stream format.
  */
 namespace packed_detail
 {
@@ -84,6 +94,28 @@ constexpr int kTagFlagBits = 6;
 
 /** Longest possible main-stream record: 6 varints of up to 10 bytes. */
 constexpr ptrdiff_t kMaxRecordBytes = 60;
+
+/** Longest possible varint (one multi-stream record). */
+constexpr ptrdiff_t kMaxVarintBytes = 10;
+
+inline uint64_t
+zigzag(int64_t v)
+{
+    return (uint64_t(v) << 1) ^ uint64_t(v >> 63);
+}
+
+/** Unchecked varint write; the caller guarantees kMaxVarintBytes of
+ *  headroom at @p p. @return the byte after the varint. */
+inline uint8_t *
+putVarint(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = uint8_t(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = uint8_t(v);
+    return p;
+}
 
 /** Strip each byte's continuation bit and fold the 7-bit groups of a
  *  masked little-endian word into one integer (up to 56 bits). */
@@ -187,6 +219,45 @@ class PackedTrace
     static_assert(sizeof(Desc) == 16, "descriptor layout is part of the "
                                       "payload format");
 
+    /** Anonymous-mmap byte buffer (new[] fallback off POSIX). */
+    class Buf
+    {
+      public:
+        Buf() = default;
+        explicit Buf(size_t n);
+        ~Buf() { release(); }
+
+        Buf(const Buf &) = delete;
+        Buf &operator=(const Buf &) = delete;
+        Buf(Buf &&o) noexcept { *this = std::move(o); }
+        Buf &
+        operator=(Buf &&o) noexcept
+        {
+            release();
+            p_ = o.p_;
+            n_ = o.n_;
+            mapped_ = o.mapped_;
+            o.p_ = nullptr;
+            o.n_ = 0;
+            return *this;
+        }
+
+        uint8_t *data() { return p_; }
+        const uint8_t *data() const { return p_; }
+        size_t size() const { return n_; }
+
+        /** Grow to at least @p need bytes by doubling, keeping the
+         *  first @p used bytes. */
+        void grow(size_t used, size_t need);
+
+        void release();
+
+      private:
+        uint8_t *p_ = nullptr;
+        size_t n_ = 0;
+        bool mapped_ = false;
+    };
+
   public:
     /** Instrs decoded per block by deliver() (16 KiB of Instr: the
      *  block buffer stays cache-resident while every core model of a
@@ -196,38 +267,117 @@ class PackedTrace
     PackedTrace() = default;
 
     /**
-     * Reusable pack() working memory. Drivers that pack many traces
-     * back to back (the sweep scheduler) pass the same Scratch every
-     * time: clear() keeps capacity, so steady-state packing makes no
-     * heap allocations at all — which keeps the capture thread's
-     * malloc state a pure function of the capture sequence (the
-     * address-determinism contract in sweep/scheduler.cc).
+     * Incremental encoder. add() appends one instruction to the
+     * encoding described above; finish() emits the exact-size trace
+     * plus its MixStats. A Recorder in builder mode (and through it
+     * core::Runner::captureTo) calls add() for every emitted
+     * instruction, so a capture never materializes the 64 B/instr AoS
+     * buffer and never makes a separate mix or pack pass.
+     *
+     * Descriptor lookup is a 4096-slot direct-mapped memo in front of
+     * an exact open-addressing table. The exact table assigns indices
+     * in first-occurrence order; a memo slot only caches a (desc,
+     * index) pair the exact table produced, so a collision costs a
+     * table probe and can never alias two descriptors.
+     *
+     * Every buffer (streams, descriptor table, index, per-descriptor
+     * counters, memo) is anonymous mmap that grows by doubling:
+     * building a trace makes no heap allocations, and finish()/reset()
+     * keep the capacity for the next trace.
+     */
+    class Builder
+    {
+      public:
+        Builder();
+
+        Builder(const Builder &) = delete;
+        Builder &operator=(const Builder &) = delete;
+
+        /** Append one instruction (its id is encoded as given). */
+        void add(const Instr &instr);
+
+        /** Instructions added since the last finish() or reset(). */
+        size_t size() const { return size_t(count_); }
+
+        /**
+         * The trace built so far, laid out descs | main | multi in one
+         * exact-size buffer. When @p mix is non-null the trace's
+         * instruction mix is added to it, computed from the
+         * per-descriptor counts in O(descriptors). The Builder is
+         * reset() for the next trace.
+         */
+        PackedTrace finish(MixStats *mix = nullptr);
+
+        /** Drop the trace in progress; capacity is kept. */
+        void reset();
+
+        /** The memo slot a shape maps to (only the Instr's shape fields
+         *  are read). Exposed so tests can force memo collisions. */
+        static uint32_t memoSlot(const Instr &shape);
+
+      private:
+        static constexpr int kMemoBits = 12;
+
+        /** A cached descriptor: its two 8-byte words and index + 1
+         *  (0 marks an empty slot). */
+        struct MemoSlot
+        {
+            uint64_t lo;
+            uint64_t hi;
+            uint64_t idx1;
+        };
+
+        /** A shape's descriptor as two words (Desc's byte layout). */
+        static void shapeWords(const Instr &i, uint64_t *lo, uint64_t *hi);
+        static uint64_t memoHash(uint64_t lo, uint64_t hi);
+        uint32_t descIndex(uint64_t lo, uint64_t hi);
+        /** Exact-table find-or-insert (the memo's miss path). */
+        uint32_t findOrInsert(uint64_t lo, uint64_t hi);
+        void rehash(size_t slots);
+
+        Desc *descs() { return reinterpret_cast<Desc *>(descs_.data()); }
+        uint64_t *counts()
+        {
+            return reinterpret_cast<uint64_t *>(counts_.data());
+        }
+        uint32_t *table()
+        {
+            return reinterpret_cast<uint32_t *>(table_.data());
+        }
+        MemoSlot *memo()
+        {
+            return reinterpret_cast<MemoSlot *>(memo_.data());
+        }
+
+        Buf main_;
+        Buf multi_;
+        Buf descs_;  //!< Desc[descCount_]
+        Buf counts_; //!< uint64_t[descCount_], records per descriptor
+        Buf table_;  //!< uint32_t[tableSlots_]: index + 1, 0 = empty
+        Buf memo_;   //!< MemoSlot[1 << kMemoBits]
+        size_t mainLen_ = 0;
+        size_t multiLen_ = 0;
+        size_t tableSlots_ = 0;
+        uint32_t descCount_ = 0;
+        uint64_t count_ = 0;
+        uint64_t prevId_ = 0;
+        uint64_t prevAddr_ = 0;
+    };
+
+    /**
+     * Reusable pack() working memory: a Builder whose capacity persists
+     * across pack() calls, for callers that pack many buffered traces
+     * back to back.
      */
     struct Scratch
     {
-        std::string main;
-        std::string multi;
-        std::vector<Desc> descs;
-        /** FNV(desc bytes) -> head of the chain into descs. */
-        std::unordered_map<uint64_t, uint32_t> index;
-        /** Per-desc link to the previous desc with the same hash. */
-        std::vector<int32_t> chain;
-
-        void
-        clear()
-        {
-            main.clear();
-            multi.clear();
-            descs.clear();
-            index.clear();
-            chain.clear();
-        }
+        Builder builder;
     };
 
-    /** Encode a buffered (Recorder) trace. */
+    /** Encode a buffered (Recorder) trace: Builder::add per record. */
     static PackedTrace pack(const std::vector<Instr> &instrs);
 
-    /** pack() borrowing @p scratch instead of allocating its own. */
+    /** pack() borrowing @p scratch's Builder instead of a fresh one. */
     static PackedTrace pack(const std::vector<Instr> &instrs,
                             Scratch *scratch);
 
@@ -461,45 +611,8 @@ class PackedTrace
   private:
     friend class Cursor;
 
-    /** Anonymous-mmap byte buffer (new[] fallback off POSIX). */
-    class Buf
-    {
-      public:
-        Buf() = default;
-        explicit Buf(size_t n);
-        ~Buf() { release(); }
-
-        Buf(const Buf &) = delete;
-        Buf &operator=(const Buf &) = delete;
-        Buf(Buf &&o) noexcept { *this = std::move(o); }
-        Buf &
-        operator=(Buf &&o) noexcept
-        {
-            release();
-            p_ = o.p_;
-            n_ = o.n_;
-            mapped_ = o.mapped_;
-            o.p_ = nullptr;
-            o.n_ = 0;
-            return *this;
-        }
-
-        uint8_t *data() { return p_; }
-        const uint8_t *data() const { return p_; }
-        size_t size() const { return n_; }
-
-        void release();
-
-      private:
-        uint8_t *p_ = nullptr;
-        size_t n_ = 0;
-        bool mapped_ = false;
-    };
-
-    /** Assemble buf_ = [descs | main stream | multi stream]. */
-    void assemble(const Desc *descs, uint32_t desc_count,
-                  const std::string &main, const std::string &multi,
-                  uint64_t count);
+    /** Expand a descriptor into @p out's shape fields. */
+    static void expand(const Desc &d, Instr *out);
 
     const Desc *descs() const
     {
@@ -671,6 +784,129 @@ PackedTrace::Cursor::next(Decoded &out)
     out.addr2 = addr2;
     out.desc = uint32_t(idx);
     return true;
+}
+
+inline void
+PackedTrace::Builder::shapeWords(const Instr &i, uint64_t *lo, uint64_t *hi)
+{
+    // Instr's shape fields (size .. stride) sit in its last 16 bytes
+    // with Desc's exact layout, so a descriptor is two 8-byte loads
+    // with the padding byte cleared — no field-wise assembly, which
+    // would store bytes and reload words (a store-forwarding stall on
+    // every instruction).
+    static_assert(sizeof(Instr) == offsetof(Instr, size) + sizeof(Desc));
+    static_assert(offsetof(Instr, elemStride) - offsetof(Instr, size) ==
+                  offsetof(Desc, elemStride));
+    static_assert(offsetof(Instr, cls) - offsetof(Instr, size) ==
+                  offsetof(Desc, cls));
+    static_assert(offsetof(Instr, fu) - offsetof(Instr, size) ==
+                  offsetof(Desc, fu));
+    static_assert(offsetof(Instr, latency) - offsetof(Instr, size) ==
+                  offsetof(Desc, latency));
+    static_assert(offsetof(Instr, vecBytes) - offsetof(Instr, size) ==
+                  offsetof(Desc, vecBytes));
+    static_assert(offsetof(Instr, lanes) - offsetof(Instr, size) ==
+                  offsetof(Desc, lanes));
+    static_assert(offsetof(Instr, activeLanes) - offsetof(Instr, size) ==
+                  offsetof(Desc, activeLanes));
+    static_assert(offsetof(Instr, stride) - offsetof(Instr, size) ==
+                  offsetof(Desc, stride));
+    static_assert(offsetof(Desc, pad) == 15);
+    const auto *shape = reinterpret_cast<const unsigned char *>(&i) +
+                        offsetof(Instr, size);
+    std::memcpy(lo, shape, 8);
+    std::memcpy(hi, shape + 8, 8);
+    // Desc::pad is byte 7 of the high word.
+    *hi &= std::endian::native == std::endian::little
+               ? 0x00ffffffffffffffull
+               : 0xffffffffffffff00ull;
+}
+
+inline uint64_t
+PackedTrace::Builder::memoHash(uint64_t lo, uint64_t hi)
+{
+    return ((lo * 0x9e3779b97f4a7c15ull) ^ hi) * 0xc2b2ae3d27d4eb4full >>
+           (64 - kMemoBits);
+}
+
+inline uint32_t
+PackedTrace::Builder::descIndex(uint64_t lo, uint64_t hi)
+{
+    MemoSlot &m = memo()[memoHash(lo, hi)];
+    if (__builtin_expect(m.idx1 != 0 && m.lo == lo && m.hi == hi, 1))
+        return uint32_t(m.idx1 - 1);
+    const uint32_t idx = findOrInsert(lo, hi);
+    m = MemoSlot{lo, hi, uint64_t(idx) + 1};
+    return idx;
+}
+
+/**
+ * Encode one record straight into the main stream through a raw byte
+ * cursor: one headroom check per record (a maximal record is
+ * kMaxRecordBytes), then unchecked varint writes. Every input and
+ * cursor field is read into a local first: the byte stores may alias
+ * anything, and reloading state after each one would serialize the
+ * record on the store buffer.
+ */
+inline void
+PackedTrace::Builder::add(const Instr &i)
+{
+    using namespace packed_detail;
+    uint64_t lo, hi;
+    shapeWords(i, &lo, &hi);
+    const uint64_t id = i.id;
+    const uint64_t dep0 = i.dep0;
+    const uint64_t dep1 = i.dep1;
+    const uint64_t dep2 = i.dep2;
+    const uint64_t addr = i.addr;
+    const uint64_t addr2 = i.addr2;
+    const uint64_t prevId = prevId_;
+    const uint64_t prevAddr = prevAddr_;
+
+    const uint32_t idx = descIndex(lo, hi);
+    ++counts()[idx];
+    if (__builtin_expect(main_.size() - mainLen_ < size_t(kMaxRecordBytes),
+                         0))
+        main_.grow(mainLen_, mainLen_ + size_t(kMaxRecordBytes));
+    uint8_t *const base = main_.data();
+    uint8_t *p = base + mainLen_;
+
+    uint64_t flags = 0;
+    if (addr != 0)
+        flags |= kHasAddr;
+    if (addr2 != 0)
+        flags |= kHasMulti;
+    if (id != prevId + 1)
+        flags |= kHasIdJump;
+    if (dep0 != 0)
+        flags |= kHasDep0;
+    if (dep1 != 0)
+        flags |= kHasDep1;
+    if (dep2 != 0)
+        flags |= kHasDep2;
+    p = putVarint(p, (uint64_t(idx) << kTagFlagBits) | flags);
+    if (flags & kHasIdJump)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(prevId + 1)));
+    if (flags & kHasDep0)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(dep0)));
+    if (flags & kHasDep1)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(dep1)));
+    if (flags & kHasDep2)
+        p = putVarint(p, zigzag(int64_t(id) - int64_t(dep2)));
+    if (flags & kHasAddr)
+        p = putVarint(p, zigzag(int64_t(addr - prevAddr)));
+    mainLen_ = size_t(p - base);
+    prevId_ = id;
+    prevAddr_ = addr != 0 ? addr : prevAddr;
+    ++count_;
+
+    if (flags & kHasMulti) {
+        if (multi_.size() - multiLen_ < size_t(kMaxVarintBytes))
+            multi_.grow(multiLen_, multiLen_ + size_t(kMaxVarintBytes));
+        multiLen_ = size_t(putVarint(multi_.data() + multiLen_,
+                                     zigzag(int64_t(addr2 - addr))) -
+                           multi_.data());
+    }
 }
 
 } // namespace swan::trace

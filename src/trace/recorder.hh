@@ -1,9 +1,9 @@
 /**
  * @file
  * Trace recorder: collects the dynamic instruction stream of one kernel
- * invocation, either buffering it for multi-configuration replay or
- * streaming it into a sink (e.g. directly into a timing simulator) when the
- * trace would be too large to hold.
+ * invocation, either encoding it straight into a packed trace, buffering
+ * it as AoS records, or streaming it into a sink (e.g. directly into a
+ * timing simulator).
  */
 
 #ifndef SWAN_TRACE_RECORDER_HH
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "trace/instr.hh"
+#include "trace/packed.hh"
 
 namespace swan::trace
 {
@@ -47,10 +48,13 @@ class Sink
 /**
  * Records the dynamic instruction stream of a kernel invocation.
  *
- * A Recorder either keeps the full trace in memory (the common case: the
- * runner replays one trace against several core configurations) or forwards
- * each record to a Sink without buffering (used for very long runs such as
- * the Figure-6 GEMM sweep).
+ * A Recorder runs in one of three modes:
+ *  - builder: each record is encoded into a PackedTrace::Builder as it
+ *    is emitted (the runner and the sweep scheduler: capture once,
+ *    replay the packed trace against many core configurations);
+ *  - buffered: the full AoS trace is kept in memory, in the
+ *    Recorder's own vector or a caller-owned one;
+ *  - streaming: each record goes to a Sink without buffering.
  */
 class Recorder
 {
@@ -58,15 +62,8 @@ class Recorder
     /** Buffered recorder. */
     Recorder() : keep_(true), ext_(nullptr) {}
 
-    /**
-     * Buffered recorder writing into the caller's vector (cleared
-     * first, capacity kept). Lets a long-running driver — the sweep
-     * scheduler captures hundreds of traces back to back — reuse one
-     * scratch buffer instead of re-growing and freeing a fresh one per
-     * capture, which keeps the capture thread's heap traffic (and
-     * therefore the address-sensitive simulation results) independent
-     * of how many captures came before.
-     */
+    /** Buffered recorder writing into the caller's vector (cleared
+     *  first, capacity kept). */
     explicit Recorder(std::vector<Instr> *buf) : keep_(true), ext_(buf)
     {
         ext_->clear();
@@ -74,6 +71,13 @@ class Recorder
 
     /** Streaming recorder; @p sink receives every instruction. */
     explicit Recorder(Sink *sink) : keep_(false), sink_(sink) {}
+
+    /** Encoding recorder: every instruction is appended to
+     *  @p builder (which the caller resets and finishes). */
+    explicit Recorder(PackedTrace::Builder *builder)
+        : keep_(false), builder_(builder)
+    {
+    }
 
     /**
      * Append an instruction. Assigns the id (program order, 1-based).
@@ -83,7 +87,9 @@ class Recorder
     emit(Instr instr)
     {
         instr.id = ++lastId_;
-        if (keep_)
+        if (builder_)
+            builder_->add(instr);
+        else if (keep_)
             (ext_ ? *ext_ : buf_).push_back(instr);
         else if (sink_)
             sink_->onInstr(instr);
@@ -114,6 +120,7 @@ class Recorder
 
   private:
     bool keep_;
+    PackedTrace::Builder *builder_ = nullptr;
     Sink *sink_ = nullptr;
     std::vector<Instr> *ext_ = nullptr;
     uint64_t lastId_ = 0;

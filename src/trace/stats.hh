@@ -22,7 +22,16 @@ namespace swan::trace
 class MixStats : public Sink
 {
   public:
-    void onInstr(const Instr &instr) override;
+    void onInstr(const Instr &instr) override { add(instr, 1); }
+
+    /**
+     * Accumulate @p n instructions of @p shape's shape. Every counter
+     * is a function of the shape fields alone (class, stride kind,
+     * vector geometry, access size), which is how
+     * PackedTrace::Builder derives a trace's mix from its
+     * per-descriptor counts.
+     */
+    void add(const Instr &shape, uint64_t n);
 
     /** Accumulate a whole buffered trace. */
     void

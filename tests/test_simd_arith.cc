@@ -23,7 +23,7 @@ iota(T start, T step = T(1))
     T x = start;
     for (int i = 0; i < Vec<T, B>::kLanes; ++i) {
         v.lane[size_t(i)] = x;
-        x = detail::wrapAdd(x, step);
+        x = simd::detail::wrapAdd(x, step);
     }
     return v;
 }

@@ -4,21 +4,30 @@
  * pack/unpack round-trips on randomized traces (including the
  * multi-address Gather/Scatter/LdS records), iterator and block-cursor
  * equivalence, payload (disk-tier) round-trips and corruption
- * handling, compression on a real captured trace, and the
- * simulateTraceMany single-pass multi-config replay producing results
- * bit-identical to N separate simulateTrace passes.
+ * handling, compression on a real captured trace, the streaming
+ * Builder's byte identity with pack() and with an independent
+ * reference encoder (every headline kernel x impl, memo collisions,
+ * Builder reuse), and the simulateTraceMany single-pass multi-config
+ * replay producing results bit-identical to N separate simulateTrace
+ * passes.
  */
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/registry.hh"
 #include "core/runner.hh"
 #include "sim/core_model.hh"
+#include "sweep/grid.hh"
 #include "trace/packed.hh"
+#include "trace/recorder.hh"
+#include "trace/stats.hh"
 
 using namespace swan;
 using trace::Instr;
@@ -131,7 +140,291 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b)
     EXPECT_EQ(a.llcAccesses, b.llcAccesses);
 }
 
+/** The disk payload: header + descs | main | multi, every byte. */
+std::string
+payloadOf(const PackedTrace &t)
+{
+    std::string out;
+    t.appendPayload(&out);
+    return out;
+}
+
+/**
+ * An independent reference encoder of the wire format (the original
+ * whole-buffer pack algorithm: field-wise 16-byte descriptors indexed
+ * in first-occurrence order, then varint records into growable
+ * strings). @return the body bytes descs | main | multi.
+ */
+std::string
+referenceBody(const std::vector<Instr> &instrs)
+{
+    const auto putVarint = [](std::string &out, uint64_t v) {
+        while (v >= 0x80) {
+            out.push_back(char(uint8_t(v) | 0x80));
+            v >>= 7;
+        }
+        out.push_back(char(uint8_t(v)));
+    };
+    const auto zigzag = [](int64_t v) {
+        return (uint64_t(v) << 1) ^ uint64_t(v >> 63);
+    };
+    std::map<std::array<uint8_t, 16>, uint64_t> index;
+    std::string descs, main, multi;
+    uint64_t prevId = 0, prevAddr = 0;
+    for (const Instr &i : instrs) {
+        std::array<uint8_t, 16> d{};
+        std::memcpy(&d[0], &i.size, 4);
+        std::memcpy(&d[4], &i.elemStride, 4);
+        d[8] = uint8_t(i.cls);
+        d[9] = uint8_t(i.fu);
+        d[10] = i.latency;
+        d[11] = i.vecBytes;
+        d[12] = i.lanes;
+        d[13] = i.activeLanes;
+        d[14] = uint8_t(i.stride);
+        auto [it, fresh] = index.emplace(d, index.size());
+        if (fresh)
+            descs.append(reinterpret_cast<const char *>(d.data()), 16);
+        uint64_t flags = 0;
+        flags |= i.addr != 0 ? 1 : 0;
+        flags |= i.addr2 != 0 ? 2 : 0;
+        flags |= i.id != prevId + 1 ? 4 : 0;
+        flags |= i.dep0 != 0 ? 8 : 0;
+        flags |= i.dep1 != 0 ? 16 : 0;
+        flags |= i.dep2 != 0 ? 32 : 0;
+        putVarint(main, it->second << 6 | flags);
+        if (flags & 4)
+            putVarint(main, zigzag(int64_t(i.id) - int64_t(prevId + 1)));
+        prevId = i.id;
+        if (flags & 8)
+            putVarint(main, zigzag(int64_t(i.id) - int64_t(i.dep0)));
+        if (flags & 16)
+            putVarint(main, zigzag(int64_t(i.id) - int64_t(i.dep1)));
+        if (flags & 32)
+            putVarint(main, zigzag(int64_t(i.id) - int64_t(i.dep2)));
+        if (flags & 1) {
+            putVarint(main, zigzag(int64_t(i.addr - prevAddr)));
+            prevAddr = i.addr;
+        }
+        if (flags & 2)
+            putVarint(multi, zigzag(int64_t(i.addr2 - i.addr)));
+    }
+    return descs + main + multi;
+}
+
+/** The trace's payload carries exactly the reference encoder's body. */
+void
+expectReferenceEncoding(const PackedTrace &t,
+                        const std::vector<Instr> &instrs)
+{
+    const std::string body = referenceBody(instrs);
+    const std::string payload = payloadOf(t);
+    ASSERT_EQ(t.byteSize(), body.size());
+    ASSERT_GE(payload.size(), body.size());
+    EXPECT_TRUE(payload.compare(payload.size() - body.size(), body.size(),
+                                body) == 0);
+    EXPECT_EQ(t.size(), instrs.size());
+}
+
+/** Feeds one capture to a Builder and an AoS vector at once. */
+class TeeSink : public trace::Sink
+{
+  public:
+    TeeSink(PackedTrace::Builder *b, std::vector<Instr> *v) : b_(b), v_(v)
+    {
+    }
+    void
+    onInstr(const Instr &instr) override
+    {
+        b_->add(instr);
+        v_->push_back(instr);
+    }
+
+  private:
+    PackedTrace::Builder *b_;
+    std::vector<Instr> *v_;
+};
+
 } // namespace
+
+TEST(PackedTraceBuilder, MatchesPackAndTheReferenceEncoder)
+{
+    for (const auto &[n, seed] : {std::pair<size_t, uint32_t>{0, 1},
+                                  {1, 2},
+                                  {3000, 3},
+                                  {20000, 4}}) {
+        const auto instrs = randomTrace(n, seed);
+        PackedTrace::Builder b;
+        for (const Instr &i : instrs)
+            b.add(i);
+        EXPECT_EQ(b.size(), n);
+        const PackedTrace built = b.finish();
+        EXPECT_EQ(b.size(), 0u) << "finish() resets the Builder";
+        EXPECT_EQ(payloadOf(built), payloadOf(PackedTrace::pack(instrs)));
+        expectReferenceEncoding(built, instrs);
+        expectSameTrace(instrs, built.unpack());
+    }
+}
+
+TEST(PackedTraceBuilder, StreamedCaptureIsByteIdenticalForEveryHeadlineKernel)
+{
+    // One capture per (kernel, impl) feeds both encoders through a tee:
+    // separate runs record different heap addresses, so only the same
+    // run's AoS trace is a valid reference.
+    core::Options tiny;
+    ASSERT_TRUE(sweep::workingSetForName("tiny", &tiny));
+    PackedTrace::Builder builder; // reused, as the sweep scheduler does
+    size_t checked = 0;
+    for (const auto &spec : core::Registry::instance().kernels()) {
+        if (spec.info.excluded)
+            continue;
+        auto w = spec.make(tiny);
+        for (const auto impl :
+             {core::Impl::Scalar, core::Impl::Auto, core::Impl::Neon}) {
+            SCOPED_TRACE(spec.info.qualifiedName() + " " +
+                         std::string(core::name(impl)));
+            std::vector<Instr> aos;
+            builder.reset();
+            TeeSink tee(&builder, &aos);
+            {
+                trace::Recorder rec(&tee);
+                trace::ScopedRecorder scoped(&rec);
+                if (impl == core::Impl::Scalar)
+                    w->runScalar();
+                else if (impl == core::Impl::Auto)
+                    w->runAuto();
+                else
+                    w->runNeon(128);
+            }
+            ASSERT_FALSE(aos.empty());
+            trace::MixStats streamed, buffered;
+            const PackedTrace built = builder.finish(&streamed);
+            buffered.addTrace(aos);
+            EXPECT_EQ(payloadOf(built), payloadOf(PackedTrace::pack(aos)));
+            expectReferenceEncoding(built, aos);
+            EXPECT_EQ(streamed.counters(), buffered.counters());
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 59u * 3u);
+}
+
+TEST(PackedTraceBuilder, RunnerCaptureToMatchesCapture)
+{
+    const auto *spec = core::Registry::instance().find("ZL/adler32");
+    ASSERT_NE(spec, nullptr);
+    auto w = spec->make(core::Options());
+    PackedTrace::Builder builder;
+    core::Runner::captureTo(*w, core::Impl::Neon, 128, &builder);
+    trace::MixStats mix;
+    const PackedTrace built = builder.finish(&mix);
+    // A second capture of the same workload: ids and shapes repeat,
+    // and so does the instruction mix.
+    const auto instrs = core::Runner::capture(*w, core::Impl::Neon, 128);
+    trace::MixStats ref;
+    ref.addTrace(instrs);
+    EXPECT_EQ(built.size(), instrs.size());
+    EXPECT_EQ(mix.counters(), ref.counters());
+}
+
+TEST(PackedTraceBuilder, MemoCollisionsKeepDistinctFirstOccurrenceIndices)
+{
+    // Descriptors that share one memo slot, differing once only in the
+    // access size (the descriptor's low word) and once only in the
+    // vector geometry (its high word).
+    for (const bool varyGeometry : {false, true}) {
+        SCOPED_TRACE(varyGeometry ? "geometry" : "size");
+        std::mt19937 rng(7);
+        std::vector<Instr> shapes;
+        uint32_t slot = 0;
+        for (int tries = 0; shapes.size() < 4 && tries < 10000000; ++tries) {
+            Instr s;
+            s.cls = trace::InstrClass::VInt;
+            s.fu = trace::Fu::VUnit;
+            s.vecBytes = 16;
+            s.latency = 3;
+            s.lanes = 4;
+            s.activeLanes = 4;
+            s.size = 16;
+            if (varyGeometry) {
+                s.latency = uint8_t(rng());
+                s.lanes = uint8_t(rng());
+                s.activeLanes = uint8_t(rng());
+            } else {
+                s.size = rng() % 65536;
+            }
+            if (shapes.empty())
+                slot = PackedTrace::Builder::memoSlot(s);
+            else if (PackedTrace::Builder::memoSlot(s) != slot)
+                continue;
+            bool dup = false;
+            for (const Instr &o : shapes)
+                dup = dup || (o.size == s.size && o.latency == s.latency &&
+                              o.lanes == s.lanes &&
+                              o.activeLanes == s.activeLanes);
+            if (!dup)
+                shapes.push_back(s);
+        }
+        ASSERT_EQ(shapes.size(), 4u);
+
+        // Interleave them so adds keep evicting the slot's occupant.
+        const int order[] = {2, 0, 2, 1, 0, 3, 3, 1, 2, 0};
+        std::vector<Instr> instrs;
+        for (int k : order) {
+            Instr i = shapes[size_t(k)];
+            i.id = instrs.size() + 1;
+            i.dep0 = instrs.empty() ? 0 : i.id - 1;
+            instrs.push_back(i);
+        }
+        PackedTrace::Builder b;
+        for (const Instr &i : instrs)
+            b.add(i);
+        const PackedTrace t = b.finish();
+        ASSERT_EQ(t.descCount(), 4u);
+        const int firstSeen[] = {2, 0, 1, 3};
+        for (uint32_t d = 0; d < 4; ++d) {
+            Instr got;
+            t.expandDesc(d, &got);
+            const Instr &want = shapes[size_t(firstSeen[d])];
+            EXPECT_EQ(got.size, want.size) << d;
+            EXPECT_EQ(got.latency, want.latency) << d;
+            EXPECT_EQ(got.lanes, want.lanes) << d;
+            EXPECT_EQ(got.activeLanes, want.activeLanes) << d;
+        }
+        expectSameTrace(instrs, t.unpack());
+        expectReferenceEncoding(t, instrs);
+    }
+}
+
+TEST(PackedTraceBuilder, ReuseAcrossLargeThenSmallMatchesFreshBuilders)
+{
+    const auto large = randomTrace(60000, 41);
+    const auto small = randomTrace(300, 42);
+    PackedTrace::Builder reused;
+    trace::MixStats reusedMix[2];
+    std::string reusedBytes[2];
+    for (int k = 0; k < 2; ++k) {
+        for (const Instr &i : k == 0 ? large : small)
+            reused.add(i);
+        reusedBytes[k] = payloadOf(reused.finish(&reusedMix[k]));
+    }
+    for (int k = 0; k < 2; ++k) {
+        PackedTrace::Builder fresh;
+        trace::MixStats mix;
+        for (const Instr &i : k == 0 ? large : small)
+            fresh.add(i);
+        EXPECT_EQ(payloadOf(fresh.finish(&mix)), reusedBytes[k]) << k;
+        EXPECT_EQ(mix.counters(), reusedMix[k].counters()) << k;
+    }
+
+    // reset() mid-trace drops the partial trace too.
+    for (size_t i = 0; i < 100; ++i)
+        reused.add(large[i]);
+    reused.reset();
+    for (const Instr &i : small)
+        reused.add(i);
+    EXPECT_EQ(payloadOf(reused.finish()), reusedBytes[1]);
+}
 
 TEST(PackedTrace, RoundTripsRandomizedTraces)
 {

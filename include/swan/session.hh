@@ -51,8 +51,8 @@ struct SessionOptions
 
     /**
      * Sweep worker *processes*: shards > 1 runs every Experiment's
-     * simulation phase on the multi-process sharded backend — the
-     * shards fork after the capture phase, claim work units via atomic
+     * work units on the multi-process sharded backend — the shards
+     * fork after the cache lookups, claim work units via atomic
      * lockfiles in the on-disk cache tier (cacheDir, or a private
      * per-run directory when no cache is configured) and publish
      * results as ordinary cache entries the parent merges back
@@ -76,12 +76,6 @@ struct SessionOptions
     /** Cache warm-up passes fed to the core model before the measured
      *  replay (paper Section 4.3). */
     int warmupPasses = 1;
-
-    /** Byte budget for the in-memory packed-trace memo; over-budget
-     *  traces spill to disk during capture and are reloaded for
-     *  simulation, byte-identical results for any value. 0 = no
-     *  budget. [env: SWAN_TRACE_MEMO_BYTES] */
-    uint64_t traceMemoBytes = 0;
 
     /** Directory of the on-disk result + packed-trace cache tier,
      *  shared across processes; empty = in-memory cache only.
@@ -180,12 +174,6 @@ struct SessionOptions
         return *this;
     }
     SessionOptions &
-    withTraceMemoBytes(uint64_t n)
-    {
-        traceMemoBytes = n;
-        return *this;
-    }
-    SessionOptions &
     withCacheDir(std::string dir)
     {
         cacheDir = std::move(dir);
@@ -263,8 +251,7 @@ class Session
     /**
      * The SWAN_* environment overlaid on the library defaults:
      * SWAN_JOBS, SWAN_SHARDS, SWAN_SHARD_TIMEOUT_MS, SWAN_SHARD_BATCH,
-     * SWAN_TRACE_MEMO_BYTES, SWAN_SWEEP_CACHE_DIR,
-     * SWAN_SWEEP_CACHE_MAX_BYTES, SWAN_METRICS. Unset,
+     * SWAN_SWEEP_CACHE_DIR, SWAN_SWEEP_CACHE_MAX_BYTES, SWAN_METRICS. Unset,
      * unparsable or (for SWAN_JOBS / SWAN_SHARDS) non-positive values
      * leave the built-in default untouched: all-cores fan-out is an
      * explicit option (jobs <= 0), never an ambient environment one.
@@ -286,9 +273,7 @@ class Session
      * Session-aware form of what drivers used to hand-wire with
      * core::Runner(Options::fromEnv()). Makes a fresh workload from
      * the spec; use the Workload overload to share one instance
-     * across calls (captured traces record real buffer addresses, so
-     * two runs of one instance replay the same addresses while two
-     * instances need not).
+     * across calls.
      */
     core::KernelRun run(const core::KernelSpec &spec, core::Impl impl,
                         const sim::CoreConfig &cfg,
@@ -314,11 +299,7 @@ class Session
 
   private:
     SessionOptions opts_;
-    // Inline, and mutable so a const Session can serve cache lookups:
-    // captured traces record real buffer addresses and the simulation
-    // is address-sensitive, so session setup deliberately makes no
-    // heap allocation beyond its option strings — a Session-driven run
-    // leaves the same capture-time heap layout as a hand-wired one.
+    // Mutable so a const Session can serve cache lookups.
     mutable sweep::ResultCache cache_;
 };
 

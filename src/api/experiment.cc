@@ -149,9 +149,7 @@ Experiment::run(std::string *err) const
     // collector already owns the registry this run simply goes
     // uncollected.
     // Activation only — sink construction waits until after the sweep
-    // (they are read at finish()): even a pre-capture string allocation
-    // would shift the capture-time heap layout and so the recorded
-    // buffer addresses.
+    // (they are read at finish()).
     const std::string &stem = session_->options().metricsOut;
     obs::Collector collector;
     if (!stem.empty())

@@ -35,10 +35,6 @@ Session::Session(SessionOptions opts)
       cache_(opts_.cacheDir, opts_.cacheMaxBytes, opts_.farCacheDir,
              opts_.cacheRamMaxBytes)
 {
-    // One byte knob for both in-RAM trace memos: the capture-phase
-    // spill budget and the cache's pinned-trace tier (T0) answer to
-    // SWAN_TRACE_MEMO_BYTES together.
-    cache_.setRamTraceBudget(opts_.traceMemoBytes);
 }
 
 SessionOptions
@@ -56,7 +52,6 @@ Session::envDefaults()
         sweep::parseByteCount(std::getenv("SWAN_SHARD_TIMEOUT_MS"), &ms))
         o.shardTimeoutMs = ms;
     o.shardBatch = envInt("SWAN_SHARD_BATCH", o.shardBatch);
-    o.traceMemoBytes = sweep::SchedulerConfig::envTraceMemoBytes();
     o.cacheDir = sweep::ResultCache::envDiskDir();
     o.cacheMaxBytes = sweep::ResultCache::envMaxDiskBytes();
     o.farCacheDir = sweep::ResultCache::envFarDir();
@@ -109,7 +104,6 @@ Session::schedulerConfig() const
     sc.shards = opts_.shards;
     sc.cache = &cache_;
     sc.warmupPasses = opts_.warmupPasses;
-    sc.traceMemoBytes = opts_.traceMemoBytes;
     sc.shardTimeoutMs = opts_.shardTimeoutMs;
     sc.shardBatch = opts_.shardBatch;
     return sc;

@@ -13,13 +13,16 @@
 #ifndef SWAN_CORE_KERNEL_HH
 #define SWAN_CORE_KERNEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 
 #include "autovec/legality.hh"
 #include "core/options.hh"
+#include "trace/canonical.hh"
 
 namespace swan::core
 {
@@ -124,6 +127,30 @@ class Workload
 
     /** Useful arithmetic operations of one invocation (Figure 6). */
     virtual uint64_t flops() const { return 0; }
+
+    // A heap-allocated workload is a registered capture buffer, so
+    // kernels reading their own members (keys, small tables) record
+    // canonical addresses (trace/canonical.hh).
+    static void *
+    operator new(std::size_t n)
+    {
+        return trace::allocCaptureBlock(n, 0);
+    }
+    static void *
+    operator new(std::size_t n, std::align_val_t a)
+    {
+        return trace::allocCaptureBlock(n, std::size_t(a));
+    }
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        trace::freeCaptureBlock(p, n, 0);
+    }
+    static void
+    operator delete(void *p, std::size_t n, std::align_val_t a) noexcept
+    {
+        trace::freeCaptureBlock(p, n, std::size_t(a));
+    }
 };
 
 /** Factory + metadata registered with the suite. */

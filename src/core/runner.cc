@@ -25,6 +25,10 @@ Runner::capture(Workload &w, Impl impl, int vec_bits)
 void
 Runner::execute(Workload &w, Impl impl, int vec_bits, trace::Recorder *rec)
 {
+    // Kernel stack frames lie below this one, at offsets from the
+    // anchor that do not depend on where the thread's stack is.
+    const char anchor = 0;
+    rec->canonicalize(&anchor);
     trace::ScopedRecorder scoped(rec);
     switch (impl) {
       case Impl::Scalar:

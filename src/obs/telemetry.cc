@@ -54,8 +54,6 @@ name(Phase p)
         return "capture";
       case Phase::Pack:
         return "pack";
-      case Phase::Spill:
-        return "spill";
       case Phase::Replay:
         return "replay";
       case Phase::Publish:

@@ -3,7 +3,7 @@
  * swan::obs — phase-structured telemetry for the sweep pipeline.
  *
  * A Telemetry instance is a lock-free span registry: every pipeline
- * phase (grid expand, cache lookup, capture, pack, spill, decode/
+ * phase (grid expand, cache lookup, capture, pack, decode/
  * replay, publish, shard merge, recovery) brackets itself with a Span
  * guard, and the guard appends one fixed-size SpanRec to a shared
  * buffer with a single atomic fetch_add. When no collector is active
@@ -12,19 +12,14 @@
  * indistinguishable from uninstrumented code (bench/obs_overhead.cc
  * gates this at <= 2% on the fused-replay hot path).
  *
- * Determinism contract (why this file is written the way it is): the
- * sweep engine guarantees byte-identical emitter output across
- * backends, job counts and shard counts, and that guarantee rests on
- * the capture thread's heap evolving identically whatever the
- * configuration — captured traces carry real buffer addresses and the
- * cache models are address-sensitive (sweep/cache.hh). Telemetry
- * therefore NEVER touches malloc on the recording path: the instance
- * and its record buffer live in one anonymous mmap region (like the
- * threaded backend's WorkerPool arena), record() is an index bump
+ * The recording path never touches malloc: the instance and its record
+ * buffer live in one anonymous mmap region, record() is an index bump
  * plus a struct store into that region, and overflow drops records
- * (counted) instead of growing. Collection may allocate freely — it
- * happens before the first capture (start) and after the last result
- * lands (snapshot/flush).
+ * (counted) instead of growing. That keeps recording cheap from any
+ * worker thread and legal inside SWAN_NOALLOC regions (the fused
+ * replay loop). Collection may allocate freely — it happens before the
+ * sweep starts (start) and after the last result lands
+ * (snapshot/flush).
  *
  * Shard transport: a forked shard child inherits the active instance
  * copy-on-write. The child tags itself with setShard(), records into
@@ -54,7 +49,6 @@ enum class Phase : uint8_t
     CacheLookup, //!< result probe (phase 1a) / packed-trace disk read
     Capture,     //!< instrumented kernel execution, encoded as it runs
     Pack,        //!< Builder::finish: exact-size PackedTrace + MixStats
-    Spill,       //!< memo-budget eviction write / worker reload
     Replay,      //!< fused multi-config packed-trace traversal
     Publish,     //!< result stores into the cache tiers
     Shard,       //!< one shard child process, fork to _exit
@@ -79,7 +73,7 @@ struct SpanRec
     uint64_t t1Ns = 0;  //!< CLOCK_MONOTONIC at close
     uint64_t cpuNs = 0; //!< thread CPU time consumed inside the span
     /** Phase-specific payload: instructions decoded (Replay: decoded
-     *  instructions x configs x passes), bytes (Pack/Spill), points
+     *  instructions x configs x passes), bytes (Pack), points
      *  (CacheLookup/Publish), units (Merge/Recovery). */
     uint64_t arg = 0;
     uint32_t tid = 0; //!< stable-per-thread id (hashed, truncated)

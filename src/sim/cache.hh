@@ -14,6 +14,7 @@
 
 #include "sim/configs.hh"
 #include "sim/dram.hh"
+#include "sim/reuse_alloc.hh"
 
 namespace swan::sim
 {
@@ -118,7 +119,8 @@ class Cache
 
     CacheConfig cfg_;
     int numSets_;
-    std::vector<Line> lines_;   // numSets_ * ways, row-major by set
+    // numSets_ * ways, row-major by set
+    std::vector<Line, ReuseAlloc<Line>> lines_;
     uint64_t tick_ = 0;
     uint64_t accesses_ = 0;
     uint64_t misses_ = 0;

@@ -411,10 +411,12 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
     // Ring/pool storage. The per-pool vector layout (and construction
     // order) is part of the same capture-determinism contract as the
     // StepState layout note above.
-    std::vector<uint64_t> readyRing_;
+    std::vector<uint64_t, ReuseAlloc<uint64_t>> readyRing_;
     std::vector<uint64_t> robRing_;
     std::array<std::vector<uint64_t>, size_t(trace::Fu::NumFus)> fuFree_;
-    std::array<std::vector<IssueSlot>, size_t(trace::Fu::NumFus)> fuSlots_;
+    std::array<std::vector<IssueSlot, ReuseAlloc<IssueSlot>>,
+               size_t(trace::Fu::NumFus)>
+        fuSlots_;
 
     // Measurement snapshot.
     uint64_t instr0_ = 0;

@@ -2,33 +2,25 @@
  * @file
  * The execution-backend seam of the sweep engine. The scheduler
  * (sweep/scheduler.cc) owns everything that must stay backend-agnostic
- * — result-cache lookups, capture-identity grouping, the serial
- * capture phase under the trace-memo byte budget — and hands the
- * finished work units (one unit per trace group: a packed trace plus
- * every core configuration that replays it) to an ExecutionBackend,
- * which only decides *where* the simulation phase runs:
+ * — result-cache lookups and capture-identity grouping — and hands the
+ * work units (one unit per trace group: acquire the trace, replay it
+ * through every core configuration of the group, publish) to an
+ * ExecutionBackend, which only decides *where* the units run:
  *
- *   runSweep: lookups -> grouping -> captures -> backend.run(job)
- *                                                |
+ *   runSweep: lookups -> grouping -> backend.run(job)
+ *                                      |
  *                  InlineBackend    calling thread, serial (tests/debug)
  *                  ThreadedBackend  work-stealing thread pool (default)
  *                  ShardedBackend   N forked worker processes claiming
  *                                   units in the on-disk cache tier
  *
- * Work units are pure functions of (packed trace, core configs): a
- * unit's results do not depend on which thread, process or machine
- * executes it, and the on-disk result format round-trips doubles as
+ * Work units are pure functions of their points: captured traces carry
+ * canonical addresses (trace/canonical.hh), so a unit's results do not
+ * depend on which thread, process or machine executes it, nor on what
+ * ran before it; and the on-disk result format round-trips doubles as
  * hexfloat (bit-exact). That is what makes the seam sound: emitter
  * output is byte-identical across backends and across any
  * `shards x jobs` combination, by construction.
- *
- * The backends are instantiated by the scheduler strictly AFTER the
- * last capture (on the stack, per run). Nothing in this header may be
- * allocated or resolved before phase 1 ends: captured traces carry
- * real buffer addresses and the cache models are address-sensitive,
- * so pre-capture heap traffic that varies with the backend choice
- * would break byte-identity between backends (see the determinism
- * notes in sweep/scheduler.cc).
  *
  * Claim protocol (ShardedBackend). Every unit has a content-stable
  * 64-bit token (hashed from its points' cache keys). A shard claims a
@@ -45,8 +37,8 @@
  * land in the shared directory as ordinary checksummed `.swr` cache
  * entries, which the parent merges back deterministically after every
  * child has exited. Units that were claimed but never stored (a
- * crashed or killed shard) are re-executed by the parent, which still
- * holds every captured trace — recovery output is bit-identical to
+ * crashed or killed shard) are re-executed by the parent, which
+ * captures their traces again — recovery output is bit-identical to
  * what the dead shard would have produced. Claim files whose pid no
  * longer exists are removed at the start of the next sharded run
  * (stale-claim cleanup), so a crash cannot poison the directory.
@@ -65,17 +57,13 @@ namespace swan::sweep
 
 class ResultCache;
 
-/** Which execution backend runs a sweep's simulation phase. */
+/** Which execution backend runs a sweep's work units. */
 enum class Backend
 {
     /** Work-stealing thread pool in this process (the default). */
     Threaded,
     /** Serial on the calling thread: no pool, no threads — the
-     *  debuggable backend. Note that simulation then allocates on the
-     *  capture thread, so *subsequent* fresh captures in the same
-     *  process may shift by the documented ~0.1% cache-layout
-     *  tolerance (sweep/cache.hh); within one sweep, results are
-     *  byte-identical to every other backend. */
+     *  debuggable backend. */
     Inline,
     /** N forked worker processes claiming units from the on-disk
      *  cache tier; requires POSIX, degrades to Threaded elsewhere. */
@@ -105,10 +93,11 @@ struct BackendJob
     void *arg = nullptr;
 
     /**
-     * Simulate unit @p u, record its results and store them through
-     * the scheduler's caches. Thread-safe and noexcept (failures are
-     * recorded scheduler-side); in a sharded run it executes inside
-     * the claiming child process, or inside the parent on recovery.
+     * Run unit @p u — acquire its trace, simulate it, record its
+     * results and store them through the scheduler's caches.
+     * Thread-safe and noexcept (failures are recorded scheduler-side);
+     * in a sharded run it executes inside the claiming child process,
+     * or inside the parent on recovery.
      */
     void (*execute)(void *arg, size_t u) = nullptr;
 
@@ -166,12 +155,8 @@ class InlineBackend final : public ExecutionBackend
  * The work-stealing thread pool, extracted unchanged from the
  * pre-seam scheduler: per-worker mutex-guarded rings dealt round-robin
  * (adjacent groups of one kernel tend to cost the same), workers pop
- * their own front and steal from the back of the fullest victim. The
- * pool's jobs-sized state lives in one anonymous mmap region and its
- * threads are raw pthreads spawned only inside run() — i.e. strictly
- * after the last capture — with serialized exits, keeping the pool
- * invisible to malloc; see the WorkerPool notes in backend_threaded.cc
- * for why that is load-bearing for capture determinism.
+ * their own front and steal from the back of the fullest victim.
+ * The threads are spawned inside run() and joined before it returns.
  */
 class ThreadedBackend final : public ExecutionBackend
 {

@@ -1,24 +1,16 @@
 /**
  * @file
- * ThreadedBackend: the sweep engine's default in-process executor —
- * the two-phase scheduler's original work-stealing pool, re-homed
- * behind the ExecutionBackend seam with zero behavior change.
+ * ThreadedBackend: the sweep engine's default in-process executor, a
+ * work-stealing pool of `jobs` threads that lives for one run().
  */
 
 #include "sweep/backend.hh"
 
 #include <algorithm>
-#include <condition_variable>
+#include <deque>
 #include <mutex>
-#include <new>
-#include <stdexcept>
 #include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <pthread.h>
-#include <sys/mman.h>
-#define SWAN_POOL_HAVE_PTHREAD 1
-#endif
+#include <vector>
 
 namespace swan::sweep
 {
@@ -26,36 +18,20 @@ namespace swan::sweep
 namespace
 {
 
-/**
- * One worker's mutex-guarded ring of unit indices. The ring storage
- * is a caller-provided slice of the pool's mmap arena — a WorkQueue
- * never touches malloc.
- */
+/** One worker's mutex-guarded queue of unit indices. */
 struct WorkQueue
 {
     std::mutex mu;
-    size_t *ring = nullptr; //!< capacity cap entries, externally owned
-    size_t cap = 0;
-    size_t head = 0;
-    size_t count = 0;
-
-    void
-    pushBack(size_t v)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        ring[(head + count) % cap] = v;
-        ++count;
-    }
+    std::deque<size_t> units; //!< guarded by mu
 
     bool
     popFront(size_t *out)
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (count == 0)
+        if (units.empty())
             return false;
-        *out = ring[head];
-        head = (head + 1) % cap;
-        --count;
+        *out = units.front();
+        units.pop_front();
         return true;
     }
 
@@ -63,10 +39,10 @@ struct WorkQueue
     stealBack(size_t *out)
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (count == 0)
+        if (units.empty())
             return false;
-        --count;
-        *out = ring[(head + count) % cap];
+        *out = units.back();
+        units.pop_back();
         return true;
     }
 
@@ -74,295 +50,42 @@ struct WorkQueue
     size()
     {
         std::lock_guard<std::mutex> lock(mu);
-        return count;
+        return units.size();
     }
 };
 
-/**
- * Work-stealing pool for the simulation phase.
- *
- * The threads are created once per sweep, strictly AFTER the last
- * capture (the scheduler constructs the backend, and the backend this
- * pool, only then), and exit when the sweep ends. That placement is
- * load-bearing for determinism: thread stacks (and the worker arenas
- * glibc creates at each worker's first malloc) are jobs-count-many
- * mappings, and captured workload buffers above malloc's mmap
- * threshold are placed in whatever address-space layout exists at
- * capture time — spawning before captures would make those addresses,
- * and therefore the address-sensitive simulated cycle counts, a
- * function of `--jobs`. Workers never run on the calling thread:
- * simulation must allocate from worker arenas only, keeping the
- * capture thread's heap evolution a pure function of the capture
- * sequence across sweeps.
- *
- * For the same contract, the pool's own jobs-sized state (queues,
- * rings, worker slots, thread handles) lives in one anonymous mmap
- * region rather than on the heap, and on POSIX the threads are raw
- * pthreads fed from those slots: mmap keeps the pool's footprint
- * invisible to malloc, and std::thread is avoided because its invoke
- * state is parent-allocated but child-freed — a cross-thread free
- * whose chunks return to the parent's arena in thread-exit order,
- * i.e. nondeterministically.
- */
-class WorkerPool
+/** Run every unit of @p queues, starting from queue @p self and then
+ *  stealing from the back of the fullest other queue. */
+void
+drain(const BackendJob &job, std::vector<WorkQueue> &queues, size_t self)
 {
-  public:
-    /**
-     * @param jobs  worker threads (>= 1)
-     * @param cap   upper bound on units per run() batch
-     * @param fn    unit executor; must not throw
-     * @param ctx   opaque pointer handed back to @p fn
-     */
-    WorkerPool(int jobs, size_t cap, void (*fn)(void *, size_t),
-               void *ctx)
-        : execute_(fn), ctx_(ctx), jobs_(size_t(jobs))
-    {
-        cap = std::max<size_t>(cap, 1);
-        const size_t queuesOff = 0;
-        const size_t ringsOff =
-            alignUp(queuesOff + jobs_ * sizeof(WorkQueue), 64);
-        const size_t slotsOff =
-            alignUp(ringsOff + jobs_ * cap * sizeof(size_t), 64);
-        const size_t threadsOff =
-            alignUp(slotsOff + jobs_ * sizeof(Slot), 64);
-        const size_t total = threadsOff + jobs_ * sizeof(ThreadHandle);
-        arena_ = mapArena(total);
-
-        queues_ = reinterpret_cast<WorkQueue *>(arena_ + queuesOff);
-        auto *rings = reinterpret_cast<size_t *>(arena_ + ringsOff);
-        slots_ = reinterpret_cast<Slot *>(arena_ + slotsOff);
-        threads_ = reinterpret_cast<ThreadHandle *>(arena_ + threadsOff);
-        arenaBytes_ = total;
-
-        for (size_t t = 0; t < jobs_; ++t) {
-            WorkQueue *q = new (&queues_[t]) WorkQueue();
-            q->ring = rings + t * cap;
-            q->cap = cap;
-            new (&slots_[t]) Slot{this, int(t)};
+    size_t u = 0;
+    while (true) {
+        if (queues[self].popFront(&u)) {
+            job.execute(job.arg, u);
+            continue;
         }
-        for (size_t t = 0; t < jobs_; ++t) {
-            try {
-                spawn(&threads_[t], &slots_[t]);
-            } catch (...) {
-                // Tear down the workers already running before the
-                // members they block on are destroyed.
-                shutdown(t);
-                throw;
-            }
-        }
-    }
-
-    ~WorkerPool() { shutdown(jobs_); }
-
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /** Run units [0, n); blocks until every one has executed. */
-    void
-    run(size_t n)
-    {
-        if (n == 0)
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            // Deal indices round-robin so initial shares interleave
-            // the grid (adjacent groups of one kernel tend to cost
-            // the same).
-            for (size_t i = 0; i < n; ++i)
-                queues_[i % jobs_].pushBack(i);
-            remaining_ = n;
-            ++generation_;
-        }
-        wake_.notify_all();
-        std::unique_lock<std::mutex> lock(mu_);
-        done_.wait(lock, [this] { return remaining_ == 0; });
-    }
-
-  private:
-    struct Slot
-    {
-        WorkerPool *pool;
-        int self;
-    };
-
-    /** Stop and join the first @p spawned workers, then free state. */
-    void
-    shutdown(size_t spawned)
-    {
-        // Workers exit strictly in worker-index order (each waits for
-        // its turn, and the next turn is granted only after the
-        // previous thread fully terminated): thread teardown releases
-        // allocator state back to shared lists, and an exit race would
-        // leave those lists — and therefore the next sweep's capture
-        // addresses — ordered by scheduling luck.
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-            exitTurn_ = 0;
-        }
-        wake_.notify_all();
-        for (size_t t = 0; t < spawned; ++t) {
-            join(&threads_[t]);
-            std::lock_guard<std::mutex> lock(mu_);
-            exitTurn_ = t + 1;
-            wake_.notify_all();
-        }
-        for (size_t t = 0; t < jobs_; ++t)
-            queues_[t].~WorkQueue();
-        unmapArena(arena_, arenaBytes_);
-    }
-
-#ifdef SWAN_POOL_HAVE_PTHREAD
-    using ThreadHandle = pthread_t;
-
-    static void
-    spawn(ThreadHandle *h, Slot *slot)
-    {
-        if (pthread_create(h, nullptr, &WorkerPool::entry, slot) != 0)
-            throw std::runtime_error("sweep: cannot spawn worker");
-    }
-    static void join(ThreadHandle *h) { pthread_join(*h, nullptr); }
-#else
-    using ThreadHandle = std::thread;
-
-    static void
-    spawn(ThreadHandle *h, Slot *slot)
-    {
-        new (h) std::thread(&WorkerPool::entry, slot);
-    }
-    static void
-    join(ThreadHandle *h)
-    {
-        h->join();
-        h->~thread();
-    }
-#endif
-
-    static size_t
-    alignUp(size_t v, size_t a)
-    {
-        return (v + a - 1) / a * a;
-    }
-
-    uint8_t *
-    mapArena(size_t n)
-    {
-#ifdef SWAN_POOL_HAVE_PTHREAD
-        void *p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-        if (p != MAP_FAILED) {
-            arenaMapped_ = true;
-            return static_cast<uint8_t *>(p);
-        }
-#endif
-        return static_cast<uint8_t *>(::operator new(n));
-    }
-
-    void
-    unmapArena(uint8_t *p, size_t n)
-    {
-#ifdef SWAN_POOL_HAVE_PTHREAD
-        if (arenaMapped_) {
-            ::munmap(p, n);
-            return;
-        }
-#endif
-        (void)n;
-        ::operator delete(p);
-    }
-
-    static void *
-    entry(void *arg)
-    {
-        auto *slot = static_cast<Slot *>(arg);
-        slot->pool->workerLoop(slot->self);
-        return nullptr;
-    }
-
-    void
-    workerLoop(int self)
-    {
-        uint64_t seen = 0;
-        while (true) {
-            {
-                std::unique_lock<std::mutex> lock(mu_);
-                wake_.wait(lock, [&] {
-                    return stop_ || generation_ != seen;
-                });
-                if (stop_) {
-                    // Serialized teardown: see the destructor.
-                    wake_.wait(lock, [&] {
-                        return exitTurn_ == size_t(self);
-                    });
-                    return;
-                }
-                seen = generation_;
-            }
-            drain(self);
-        }
-    }
-
-    void
-    drain(int self)
-    {
-        size_t gi;
-        while (true) {
-            if (queues_[size_t(self)].popFront(&gi)) {
-                finish(gi);
+        size_t victim = queues.size();
+        size_t most = 0;
+        for (size_t v = 0; v < queues.size(); ++v) {
+            if (v == self)
                 continue;
+            const size_t n = queues[v].size();
+            if (n > most) {
+                most = n;
+                victim = v;
             }
-            // Own queue drained: steal from the fullest victim.
-            int victim = -1;
-            size_t most = 0;
-            for (int v = 0; v < int(jobs_); ++v) {
-                if (v == self)
-                    continue;
-                const size_t n = queues_[size_t(v)].size();
-                if (n > most) {
-                    most = n;
-                    victim = v;
-                }
-            }
-            // No queue had work at scan time: batch over for this
-            // worker (nobody pushes mid-batch, so emptiness is stable
-            // once observed).
-            if (victim < 0)
-                return;
-            // Lost the steal race: rescan, another victim may still
-            // hold work.
-            if (!queues_[size_t(victim)].stealBack(&gi))
-                continue;
-            finish(gi);
         }
+        // No queue had work at scan time: nobody pushes mid-run, so
+        // emptiness is stable once observed.
+        if (victim == queues.size())
+            return;
+        // Lost the steal race: rescan, another victim may still hold
+        // work.
+        if (queues[victim].stealBack(&u))
+            job.execute(job.arg, u);
     }
-
-    void
-    finish(size_t gi)
-    {
-        // Must not throw; errors are recorded by the callback itself.
-        execute_(ctx_, gi);
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--remaining_ == 0)
-            done_.notify_all();
-    }
-
-    void (*execute_)(void *, size_t);
-    void *ctx_;
-    size_t jobs_;
-    uint8_t *arena_ = nullptr;
-    size_t arenaBytes_ = 0;
-    bool arenaMapped_ = false;
-    WorkQueue *queues_ = nullptr;
-    Slot *slots_ = nullptr;
-    ThreadHandle *threads_ = nullptr;
-    std::mutex mu_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    uint64_t generation_ = 0;
-    size_t remaining_ = 0;
-    size_t exitTurn_ = 0;
-    bool stop_ = false;
-};
+}
 
 } // namespace
 
@@ -373,11 +96,27 @@ ThreadedBackend::run(const BackendJob &job)
         return;
     // The scheduler resolves the job count; re-clamp to the unit count
     // here because sub-jobs (sharded recovery) can be narrower.
-    const int jobs = std::max(
-        1, int(std::min<size_t>(size_t(std::max(1, job.jobs)),
-                                job.units)));
-    WorkerPool pool(jobs, job.units, job.execute, job.arg);
-    pool.run(job.units);
+    const size_t jobs =
+        std::min<size_t>(size_t(std::max(1, job.jobs)), job.units);
+    // Deal units round-robin so initial shares interleave the grid
+    // (adjacent groups of one kernel tend to cost the same).
+    std::vector<WorkQueue> queues(jobs);
+    for (size_t u = 0; u < job.units; ++u)
+        queues[u % jobs].units.push_back(u);
+
+    std::vector<std::thread> workers;
+    workers.reserve(jobs);
+    try {
+        for (size_t t = 0; t < jobs; ++t)
+            workers.emplace_back(
+                [&job, &queues, t] { drain(job, queues, t); });
+    } catch (...) {
+        for (std::thread &w : workers)
+            w.join();
+        throw;
+    }
+    for (std::thread &w : workers)
+        w.join();
 }
 
 } // namespace swan::sweep

@@ -675,13 +675,6 @@ ResultCache::setRamTraceBudget(uint64_t bytes)
     ramTraceBudget_ = bytes;
 }
 
-void
-ResultCache::setRamTraceServe(bool on)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    ramServe_ = on;
-}
-
 namespace
 {
 
@@ -775,33 +768,31 @@ ResultCache::lookupTrace(const TraceKey &key, trace::PackedTrace *out,
     {
         std::lock_guard<std::mutex> lock(mu_);
         hot = noteLookupLocked(h);
-        if (ramServe_) {
-            // T0: serve the pinned copy. Runs on the capture thread,
-            // hence the no-alloc bracket: clone() is mmap + memcpy and
-            // MixStats is POD, so a RAM hit is heap-silent.
-            for (RamTrace &slot : ramTraces_) {
-                if (!slot.used || slot.keyHash != h)
-                    continue;
-                SWAN_NOALLOC_BEGIN("cache T0 pinned-trace serve");
-                const bool match =
-                    std::strncmp(slot.kernel, key.kernel.c_str(),
-                                 sizeof slot.kernel) == 0 &&
-                    slot.impl == int32_t(key.impl) &&
-                    slot.vecBits == key.vecBits &&
-                    slot.optionsFp == key.optionsFp;
-                if (match) {
-                    *out = slot.trace.clone();
-                    *mix = slot.mix;
-                }
-                SWAN_NOALLOC_END();
-                if (match) {
-                    ++stats_.traceRamHits;
-                    return true;
-                }
-                // Key-echo mismatch under a hash collision: fall
-                // through to the durable tiers, like on-disk foreign
-                // entries.
+        // T0: serve the pinned copy. The no-alloc bracket keeps a RAM
+        // hit heap-silent: clone() is mmap + memcpy and MixStats is
+        // POD.
+        for (RamTrace &slot : ramTraces_) {
+            if (!slot.used || slot.keyHash != h)
+                continue;
+            SWAN_NOALLOC_BEGIN("cache T0 pinned-trace serve");
+            const bool match =
+                std::strncmp(slot.kernel, key.kernel.c_str(),
+                             sizeof slot.kernel) == 0 &&
+                slot.impl == int32_t(key.impl) &&
+                slot.vecBits == key.vecBits &&
+                slot.optionsFp == key.optionsFp;
+            if (match) {
+                *out = slot.trace.clone();
+                *mix = slot.mix;
             }
+            SWAN_NOALLOC_END();
+            if (match) {
+                ++stats_.traceRamHits;
+                return true;
+            }
+            // Key-echo mismatch under a hash collision: fall
+            // through to the durable tiers, like on-disk foreign
+            // entries.
         }
     }
     const std::string name = key.hex() + ".swtp";
@@ -943,10 +934,8 @@ ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
 {
     if (diskDir_.empty())
         return;
-    // T1 only — never the far tier: storeTrace runs inside the capture
-    // window (phase 1c), where a slow far write would also have to
-    // allocate. The scheduler publishes captured traces to T2 strictly
-    // post-capture via publishTraceFar().
+    // T1 only: the scheduler publishes captured traces to T2 through
+    // publishTraceFar(), and a shard child leaves that to the parent.
     const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
     if (!wrote)
         return;
@@ -982,7 +971,7 @@ ResultCache::publishTraceFar(const TraceKey &key,
         return;
     }
     if (!t || t->byteSize() == 0)
-        return; // spilled with no durable copy: nothing to publish
+        return; // no T1 copy and no trace at hand: nothing to publish
     obs::Span pub(obs::Phase::Publish);
     const uint64_t wrote = writeTraceBlob(farDir_, key, *t, mix);
     pub.addArg(wrote);
@@ -990,21 +979,6 @@ ResultCache::publishTraceFar(const TraceKey &key,
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.farStores;
     }
-}
-
-bool
-ResultCache::traceAvailable(const TraceKey &key) const
-{
-    // Durable tiers only, deliberately: whether a trace is *pinned* in
-    // T0 depends on the byte budget, and this probe gates behavior
-    // (the scheduler's T0-serve decision) that must be identical
-    // across budget values.
-    const uint64_t h = key.hash();
-    if (!diskDir_.empty() && entryExists(diskDir_, h, ".swtp"))
-        return true;
-    if (!farDir_.empty() && entryExists(farDir_, h, ".swtp"))
-        return true;
-    return false;
 }
 
 void

@@ -28,20 +28,12 @@
  * full promotion/demotion policy.
  *
  * Precision of the contract: capture and simulation are deterministic
- * given the key *and* the process's heap layout at capture time —
- * traces carry real buffer addresses and the cache models are
- * address-sensitive. The scheduler serializes captures so the layout
- * is a pure function of which captures run and in what order; a
- * partially warm cache therefore changes the layout seen by the
- * remaining points, which can shift their absolute cycle counts by
- * ~0.1% relative to a fully cold run. Every stored result is a valid
- * simulation of its point; byte-identity is guaranteed across --jobs
- * values, backends, shard counts, memo budgets and far-dir on/off,
- * across reruns of the same command against the same cache state, and
- * between a cold run and a fully warm replay of it. The promotion
- * machinery honors the same rule: pinned traces live in anonymous
- * mmap (invisible to malloc) and the RAM-memo bookkeeping is
- * fixed-slot, so tier transitions never perturb the capture heap.
+ * given the key alone — traces carry canonical addresses
+ * (trace/canonical.hh), so a point's result does not depend on the
+ * process, the thread or what ran before it. Byte-identity therefore
+ * holds across --jobs values, backends, shard counts and far-dir
+ * on/off, across processes, and between cold, partially warm and
+ * fully warm runs.
  */
 
 #ifndef SWAN_SWEEP_CACHE_HH
@@ -322,43 +314,15 @@ class ResultCache
     void storeTrace(const TraceKey &key, const trace::PackedTrace &t,
                     const trace::MixStats &mix);
 
-    /** Byte budget for the T0 pinned-trace memo (0 = unbounded). The
-     *  scheduler passes its SWAN_TRACE_MEMO_BYTES budget so RAM
-     *  pinning and the capture memo answer to one knob. */
+    /** Byte budget for the T0 pinned-trace memo (0 = unbounded). */
     void setRamTraceBudget(uint64_t bytes);
-
-    /**
-     * Gate for *serving* from the T0 pinned-trace memo (pinning stays
-     * on either way). The scheduler disables it for the capture phase
-     * of a sweep that will run at least one capture: a T0 hit skips
-     * the disk read's allocations, so whether a trace is pinned —
-     * which depends on the byte budget — would otherwise shift the
-     * heap layout later captures see, breaking byte-identity across
-     * budget values. When every pending group's trace is already
-     * durable (traceAvailable), no capture can follow and T0 serving
-     * is safe. Defaults to enabled.
-     */
-    void setRamTraceServe(bool on);
-
-    /**
-     * True when @p key's packed trace exists in a *durable* tier
-     * (T1/T2 file present) — without reading, validating or counting
-     * anything. The scheduler's pre-capture scan: if every pending
-     * trace is available, the sweep runs zero captures and T0 serving
-     * can stay on. T0 pin state is deliberately ignored: pinning
-     * depends on the byte budget, and this answer gates behavior that
-     * must be identical across budget values.
-     */
-    bool traceAvailable(const TraceKey &key) const;
 
     /**
      * Publish @p key's packed trace to the far tier: copy the T1
      * `.swtp` if present, else serialize @p t (may be null: then a
-     * spilled-and-evicted trace is simply not published). Called by
-     * the scheduler strictly after the capture phase — far stores
-     * allocate freely, so they must never run inside storeTrace()
-     * during phase 1c. No-op without a far tier or when far publishing
-     * is disabled.
+     * trace with no T1 copy is simply not published). No-op without a
+     * far tier, when the far tier already holds it, or when far
+     * publishing is disabled.
      */
     void publishTraceFar(const TraceKey &key,
                          const trace::PackedTrace *t,
@@ -508,7 +472,6 @@ class ResultCache
     uint64_t lookupSeq_ = 0;      //!< counted lookups so far
     RamTrace ramTraces_[kRamTraceSlots];
     uint64_t ramTraceBytes_ = 0;  //!< pinned bytes across the slots
-    bool ramServe_ = true;        //!< T0 trace serving gate
     CacheStats stats_;
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,11 +12,6 @@
 #include <tuple>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <cerrno>
-#include <fcntl.h>
-#include <pthread.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 #define SWAN_POOL_HAVE_PTHREAD 1
 #endif
@@ -36,43 +29,24 @@ namespace
 
 /**
  * One trace group: every pending point that shares a capture identity
- * (kernel, impl, width, working set). The group's packed trace streams
- * through all of its core configurations in a single fused traversal
+ * (kernel, impl, width, working set). The group is one work unit: the
+ * worker that runs it acquires the trace (trace tier, or make ->
+ * capture -> finish -> store), streams it through all of the group's
+ * core configurations in a single fused traversal
  * (sim::simulateTraceMany -> sim::replay: one varint decode per
  * instruction, every config's model stepped from the same decoded
- * registers), so a Figure-5(b)-style six-config sweep point costs one
- * decode pass, not six — and zero Instr staging round-trips.
+ * registers), publishes the results and drops the trace. At most
+ * `jobs` traces are live at once.
  *
- * Determinism notes (this is the TraceMemo of old, restructured):
- *
- *  - Captures stay serial on the calling thread in point-index order,
- *    and finish before any worker thread exists. Captured traces
- *    carry real buffer addresses and the cache models are
- *    address-sensitive, so the heap AND address-space evolution up to
- *    the last capture must be identical whatever `--jobs` or the memo
- *    budget is.
- *  - Packed-trace storage is mmap-backed (trace::PackedTrace), so
- *    evicting a trace mid-phase-1 under SWAN_TRACE_MEMO_BYTES is
- *    invisible to malloc — the buffer addresses captured by later
- *    points (and later sweeps in the same process) cannot shift.
- *  - Eviction spills the packed bytes to disk (oldest first — for
- *    single-use traces that is LRU order) and the executing worker
- *    reloads them; a reloaded trace is bit-identical to the evicted
- *    one (checksummed), so the budget cannot change any result by
- *    construction.
- *  - Workers never run on the calling thread: simulation allocates
- *    from worker-thread arenas, keeping the capture thread's malloc
- *    state a pure function of the capture sequence across the
- *    process's sweeps.
+ * Units are independent: captured traces carry canonical addresses
+ * (trace/canonical.hh), a pure function of the kernel's access stream,
+ * so a unit's results do not depend on which worker ran it, what ran
+ * before it, or the process's heap history.
  */
 struct TraceGroup
 {
-    std::shared_ptr<trace::PackedTrace> trace;
-    trace::MixStats mix;                //!< shared by the group's points
     std::vector<size_t> points;         //!< point indices, ascending
     std::vector<sim::CoreConfig> configs; //!< parallel to points
-    bool spilled = false; //!< storage evicted; reload from spill file
-    bool captured = false; //!< freshly captured (not served warm)
 };
 
 /** Capture identity: which points may share one trace. */
@@ -85,7 +59,7 @@ groupKeyFor(const SweepPoint &p)
             fingerprint(p.options)};
 }
 
-/** Process-unique token for the spill directory name. */
+/** Process-unique token for private directory names. */
 uint64_t
 processToken()
 {
@@ -97,15 +71,38 @@ processToken()
 #endif
 }
 
-} // namespace
-
-uint64_t
-SchedulerConfig::envTraceMemoBytes()
+/**
+ * Capture encoders for the workers of one sweep: a worker takes one
+ * for each capture and gives it back, so at most `jobs` exist and each
+ * keeps its (mmap-backed) capacity across captures.
+ */
+class BuilderPool
 {
-    uint64_t n = 0;
-    parseByteCount(std::getenv("SWAN_TRACE_MEMO_BYTES"), &n);
-    return n;
-}
+  public:
+    std::unique_ptr<trace::PackedTrace::Builder>
+    take()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (idle_.empty())
+            return std::make_unique<trace::PackedTrace::Builder>();
+        auto b = std::move(idle_.back());
+        idle_.pop_back();
+        return b;
+    }
+
+    void
+    give(std::unique_ptr<trace::PackedTrace::Builder> b)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        idle_.push_back(std::move(b));
+    }
+
+  private:
+    std::mutex mu_;
+    std::vector<std::unique_ptr<trace::PackedTrace::Builder>> idle_;
+};
+
+} // namespace
 
 std::string
 describe(const RowOrigin &origin)
@@ -143,7 +140,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     if (jobs < 1)
         jobs = 1;
 
-    // Phase 1a (serial, point-index order): result-cache lookups.
+    // Result-cache lookups (serial, point-index order).
     std::vector<size_t> pending;
     {
         obs::Span lookupSpan(obs::Phase::CacheLookup, points.size());
@@ -161,8 +158,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     }
     if (pending.empty()) {
         // Fully warm sweep: every row is a cache hit, streamed in
-        // point order right here (no captures happen, so the callback
-        // may allocate freely).
+        // point order right here.
         if (cfg.onRow) {
             RowOrigin o;
             o.kind = RowOrigin::Kind::Cache;
@@ -175,8 +171,8 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         return results;
     }
 
-    // Phase 1b: group the pending points by capture identity, in
-    // first-occurrence order (which is point-index order).
+    // Group the pending points by capture identity, in first-occurrence
+    // order (which is point-index order): one work unit per group.
     std::vector<TraceGroup> groups;
     {
         std::map<GroupKey, size_t> groupOf;
@@ -202,11 +198,10 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     };
 
     // Row streaming (cfg.onRow): completion states per point, emitted
-    // strictly in point-index order behind an advancing frontier. The
-    // state vector stays EMPTY (disengaged, no allocation) until after
-    // the last capture — workers and the parent merge then mark points
-    // done as units land. Encoding: 0 pending, 1 cache hit, 2 computed
-    // in-process, 3+k merged from shard k-1 (3 = unknown shard).
+    // strictly in point-index order behind an advancing frontier.
+    // Workers and the parent merge mark points done as units land.
+    // Encoding: 0 pending, 1 cache hit, 2 computed in-process, 3+k
+    // merged from shard k-1 (3 = unknown shard). Empty = no streaming.
     std::mutex rowMu;
     std::vector<uint16_t> rowState;
     size_t rowNext = 0;
@@ -237,100 +232,91 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         rowState[idx] = st;
         rowFlush();
     };
-
-    // Private spill directory for memo-budget evictions, independent
-    // of the result cache so eviction works with or without a cache
-    // dir. The name is resolved HERE, before any capture, into a
-    // fixed stack buffer, and the spill I/O itself uses raw
-    // syscalls + stack-built paths: eviction happens between
-    // captures, where even a balanced malloc/free pair can split or
-    // coalesce allocator bins and shift the addresses later captures
-    // record — the budget must leave the capture thread's allocator
-    // bit-untouched so results cannot depend on it.
-    char spillDir[3072];
-    spillDir[0] = '\0';
-    bool spillDirMade = false;
-    {
-        std::error_code ec;
-        const auto tmp = std::filesystem::temp_directory_path(ec);
-        if (!ec) {
-            const int w = std::snprintf(
-                spillDir, sizeof spillDir, "%s/swan-memo-%llu",
-                tmp.string().c_str(),
-                static_cast<unsigned long long>(processToken()));
-            if (w <= 0 || size_t(w) >= sizeof spillDir)
-                spillDir[0] = '\0';
-        }
+    if (cfg.onRow) {
+        rowState.assign(points.size(), 0);
+        for (size_t i = 0; i < points.size(); ++i)
+            if (results[i].cacheHit)
+                rowState[i] = 1;
+        std::lock_guard<std::mutex> lock(rowMu);
+        rowFlush();
     }
-    const auto spillPathFor = [&](size_t gi, char *buf, size_t buf_len) {
-        const int w = std::snprintf(buf, buf_len, "%s/g%zu.swtp",
-                                    spillDir, gi);
-        return w > 0 && size_t(w) < buf_len;
-    };
 
     // Where executed results are stored. Normally the configured
     // cache; a sharded run re-points this at a cache that owns a disk
     // tier (the session's, or a private per-run directory) so shard
-    // children can publish results the parent merges — resolved after
-    // phase 1, see the backend block below.
+    // children can publish results the parent merges — resolved in
+    // the backend block below, before any unit runs.
     ResultCache *storeCache = cfg.cache;
 
-    // Phase 2 worker: replay one group's trace through all of its
-    // configurations in a single pass; results land by point index
-    // power-complete (the power model is fused into the replay's
-    // finish path — see sim::CoreModel::finish). Evicted traces are
-    // reloaded from their spill file (bit-identical by checksum, so
-    // eviction cannot change any result).
+    // Acquire one group's packed trace on the executing worker: the
+    // trace tier when warm, else make -> capture -> finish -> store.
+    BuilderPool builders;
+    const auto acquireTrace = [&](const SweepPoint &p,
+                                  trace::MixStats *mix) {
+        const TraceKey tkey = traceKeyFor(p);
+        {
+            // Packed-trace tier probe (and, on a hit, the disk read);
+            // arg = bytes served.
+            obs::Span probe(obs::Phase::CacheLookup);
+            trace::PackedTrace t;
+            if (cfg.cache && cfg.cache->lookupTrace(tkey, &t, mix)) {
+                probe.addArg(t.byteSize());
+                return t;
+            }
+        }
+        std::unique_ptr<core::Workload> w;
+        {
+            obs::Span make(obs::Phase::WorkloadMake);
+            w = p.spec->make(p.options);
+        }
+        auto builder = builders.take();
+        {
+            obs::Span capture(obs::Phase::Capture);
+            core::Runner::captureTo(*w, p.impl, p.vecBits, builder.get());
+            capture.addArg(builder->size());
+        }
+        w.reset();
+        trace::PackedTrace t;
+        {
+            obs::Span pack(obs::Phase::Pack);
+            t = builder->finish(mix);
+            pack.addArg(t.byteSize());
+        }
+        builders.give(std::move(builder));
+        if (cfg.cache) {
+            obs::Span store(obs::Phase::TraceStore, t.byteSize());
+            cfg.cache->storeTrace(tkey, t, *mix);
+            // A no-op without a far tier, and in shard children (the
+            // parent merge publishes their traces; see serveGroup).
+            cfg.cache->publishTraceFar(tkey, &t, *mix);
+        }
+        return t;
+    };
+
+    // One work unit: acquire the group's trace, replay it through all
+    // of its configurations in a single pass, and publish; results
+    // land by point index power-complete (the power model is fused
+    // into the replay's finish path — see sim::CoreModel::finish).
+    // The trace is dropped when the unit ends.
     const auto executeGroup = [&](size_t gi) {
         try {
-            TraceGroup &g = groups[gi];
-            trace::PackedTrace reloaded;
-            const trace::PackedTrace *t = g.trace.get();
-            if (g.spilled) {
-                // Worker-side reload; worker-arena allocations are
-                // free to happen here (captures are long done).
-                obs::Span reload(obs::Phase::Spill);
-                char path[3328];
-                std::string blob;
-                std::error_code ec;
-                if (spillPathFor(gi, path, sizeof path)) {
-                    const auto size = std::filesystem::file_size(path, ec);
-                    if (!ec) {
-                        blob.resize(size);
-                        std::ifstream in(path, std::ios::binary);
-                        if (!in.read(blob.data(), std::streamsize(size)))
-                            blob.clear();
-                    }
-                }
-                reload.addArg(blob.size());
-                if (blob.empty() ||
-                    !trace::PackedTrace::parsePayload(
-                        reinterpret_cast<const uint8_t *>(blob.data()),
-                        blob.size(), &reloaded)) {
-                    recordError("evicted trace spill lost or corrupt");
-                    return;
-                }
-                t = &reloaded;
-            }
+            const TraceGroup &g = groups[gi];
+            trace::MixStats mix;
+            const trace::PackedTrace t =
+                acquireTrace(points[g.points.front()], &mix);
             // Partition the group's points by fault scenario: a fused
             // traversal perturbs every model it steps, so points with
             // different faults (or none) replay in separate traversals
             // over the SAME shared trace — capture identity is
-            // fault-blind (faults perturb replay, never capture). A
-            // clean group takes the historic single call with the
-            // historic allocation sequence — the partition scratch
-            // below must not exist on that path, because group replay
-            // interleaves with later captures on the inline backend
-            // and extra allocations would shift the buffer addresses
-            // those captures record. Partition order is
-            // first-occurrence point order, so results stay a pure
-            // function of the grid.
+            // fault-blind (faults perturb replay, never capture).
+            // Partition order is first-occurrence point order, so
+            // results stay a pure function of the grid.
             std::vector<sim::SimResult> sims;
             bool anyFault = false;
             for (size_t j : g.points)
                 anyFault = anyFault || points[j].faultId != 0;
             if (!anyFault) {
-                sims = sim::simulateTraceMany(*t, g.configs,
+                sims = sim::simulateTraceMany(t, g.configs,
                                               cfg.warmupPasses);
             } else {
                 sims.resize(g.points.size());
@@ -353,7 +339,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
                         partCfgs.push_back(g.configs[k]);
                     }
                     auto partSims = sim::simulateTraceMany(
-                        *t, partCfgs, fault, cfg.warmupPasses);
+                        t, partCfgs, fault, cfg.warmupPasses);
                     for (size_t k = 0; k < part.size(); ++k)
                         sims[part[k]] = std::move(partSims[k]);
                 }
@@ -365,7 +351,7 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
                     const SweepPoint &p = points[idx];
                     SweepResult &r = results[idx];
                     r.run = core::KernelRun{};
-                    r.run.mix = g.mix;
+                    r.run.mix = mix;
                     r.run.sim = std::move(sims[j]);
                     const CacheKey key = keyFor(p, cfg.warmupPasses);
                     if (storeCache)
@@ -387,177 +373,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             recordError(e.what());
         }
     };
-
-    // Acquire one group's packed trace: the on-disk trace tier when
-    // warm, a fresh capture otherwise. Serial, capture-thread only.
-    // Capture encodes straight into one Builder that persists across
-    // all groups: its storage is anonymous mmap with capacity kept, so
-    // captures leave the capture thread's malloc state untouched and
-    // the workload buffer addresses later captures record — which the
-    // address-sensitive cache models feel — cannot depend on how many
-    // traces came before or on the memo budget. Span guards are
-    // malloc-free, so bracketing the capture window is safe.
-    trace::PackedTrace::Builder builder;
-    const auto acquireTrace = [&](TraceGroup &g) {
-        const SweepPoint &p = points[g.points.front()];
-        {
-            // Packed-trace tier probe (and, on a hit, the disk read);
-            // arg = bytes served.
-            obs::Span probe(obs::Phase::CacheLookup);
-            trace::PackedTrace t;
-            if (cfg.cache &&
-                cfg.cache->lookupTrace(traceKeyFor(p), &t, &g.mix)) {
-                probe.addArg(t.byteSize());
-                g.trace =
-                    std::make_shared<trace::PackedTrace>(std::move(t));
-                return;
-            }
-        }
-        std::unique_ptr<core::Workload> w;
-        {
-            obs::Span make(obs::Phase::WorkloadMake);
-            w = p.spec->make(p.options);
-        }
-        {
-            obs::Span capture(obs::Phase::Capture);
-            core::Runner::captureTo(*w, p.impl, p.vecBits, &builder);
-            capture.addArg(builder.size());
-        }
-        {
-            obs::Span pack(obs::Phase::Pack);
-            g.trace = std::make_shared<trace::PackedTrace>(
-                builder.finish(&g.mix));
-            pack.addArg(g.trace->byteSize());
-        }
-        if (cfg.cache) {
-            obs::Span store(obs::Phase::TraceStore, g.trace->byteSize());
-            cfg.cache->storeTrace(traceKeyFor(p), *g.trace, g.mix);
-        }
-        g.captured = true;
-    };
-
-    // Spill one group's packed bytes and release the mmap storage.
-    // Runs between captures: syscalls only, zero heap traffic.
-    const auto spillGroup = [&](size_t gi) -> bool {
-        TraceGroup &g = groups[gi];
-        if (!spillDir[0])
-            return false;
-        obs::Span spill(obs::Phase::Spill, g.trace->byteSize());
-#ifdef SWAN_POOL_HAVE_PTHREAD
-        if (!spillDirMade) {
-            if (::mkdir(spillDir, 0700) != 0 && errno != EEXIST)
-                return false;
-            spillDirMade = true;
-        }
-        char path[3328];
-        if (!spillPathFor(gi, path, sizeof path))
-            return false;
-        const int fd =
-            ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0600);
-        if (fd < 0)
-            return false;
-        bool ok = g.trace->writePayload(fd);
-        ok = (::close(fd) == 0) && ok;
-#else
-        if (!spillDirMade) {
-            std::error_code ec;
-            std::filesystem::create_directories(spillDir, ec);
-            if (ec)
-                return false;
-            spillDirMade = true;
-        }
-        char path[3328];
-        if (!spillPathFor(gi, path, sizeof path))
-            return false;
-        std::FILE *f = std::fopen(path, "wb");
-        if (!f)
-            return false;
-        bool ok = g.trace->writePayload(f);
-        ok = (std::fclose(f) == 0) && ok;
-#endif
-        if (!ok)
-            return false;
-        g.trace->releaseStorage();
-        g.spilled = true;
-        return true;
-    };
-
-    // Phase 1c: capture every group under the memo byte budget —
-    // when live packed bytes exceed it, the oldest live traces spill
-    // to disk (LRU for these single-use traces) until the budget
-    // holds again. Peak trace memory is ~budget + one trace. A spill
-    // failure (disk full) keeps the trace in memory: results stay
-    // correct, only the cap degrades.
-    // T0 pinned-trace serving is enabled only when this sweep will run
-    // zero captures: a RAM hit skips the disk read's allocations, and
-    // whether a trace is pinned depends on the byte budget — if any
-    // capture followed a RAM hit, the budget would leak into the
-    // capture-time heap layout. Probe the durable tiers for every
-    // pending group first (heap-silent stat calls, cache.hh) and serve
-    // from RAM only in the all-warm case, where no capture can follow.
-    if (cfg.cache) {
-        bool allWarm = true;
-        for (const TraceGroup &g : groups)
-            if (!cfg.cache->traceAvailable(
-                    traceKeyFor(points[g.points.front()]))) {
-                allWarm = false;
-                break;
-            }
-        cfg.cache->setRamTraceServe(allWarm);
-    }
-
-    const uint64_t budget = cfg.traceMemoBytes;
-    uint64_t liveBytes = 0;
-    size_t spillCursor = 0;
-    for (size_t g = 0; g < groups.size(); ++g) {
-        acquireTrace(groups[g]);
-        liveBytes += groups[g].trace->byteSize();
-        while (budget && liveBytes > budget && spillCursor <= g) {
-            const size_t victim = spillCursor++;
-            const uint64_t bytes = groups[victim].trace->byteSize();
-            if (spillGroup(victim))
-                liveBytes -= bytes;
-        }
-    }
-
-    // ---- Execution backend (phase 2) --------------------------------
-    // Everything from here on happens strictly AFTER the last capture:
-    // backend choice, shard bookkeeping and the merge may allocate
-    // freely without touching the capture-time heap layout, which is
-    // why no backend state exists any earlier (see sweep/backend.hh).
-
-    if (cfg.cache) {
-        // Captures are done; T0 serving is unconditionally safe again
-        // for whoever probes the cache next.
-        cfg.cache->setRamTraceServe(true);
-        // Publish freshly captured traces to the far tier. Deferred to
-        // here because a far write allocates (and is slow), so it must
-        // never run inside storeTrace() during phase 1c. Warm groups
-        // were never captured: their far copies already exist or are
-        // promoted on demand. A spilled group publishes via its T1
-        // file (publishTraceFar falls back to the in-memory payload
-        // only when one exists).
-        if (!cfg.cache->farDir().empty())
-            for (TraceGroup &g : groups) {
-                if (!g.captured)
-                    continue;
-                const SweepPoint &p = points[g.points.front()];
-                cfg.cache->publishTraceFar(
-                    traceKeyFor(p), g.trace ? g.trace.get() : nullptr,
-                    g.mix);
-            }
-    }
-
-    // Engage row streaming (allocates — post-capture on purpose) and
-    // drain the leading cache hits.
-    if (cfg.onRow) {
-        rowState.assign(points.size(), 0);
-        for (size_t i = 0; i < points.size(); ++i)
-            if (results[i].cacheHit)
-                rowState[i] = 1;
-        std::lock_guard<std::mutex> lock(rowMu);
-        rowFlush();
-    }
 
     // Resolve the backend: shards > 1 upgrades the default threaded
     // backend to the sharded one; explicit Inline/Sharded always win.
@@ -661,6 +476,9 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
             // T1 only, the parent syncs T2 here, once per merged unit.
             storeCache->publishFar(keys[j]);
         }
+        if (cfg.cache)
+            cfg.cache->publishTraceFar(traceKeyFor(points[g.points.front()]),
+                                       nullptr, trace::MixStats());
         for (size_t idx : g.points)
             rowComplete(idx, uint16_t(4 + std::max(shard, -1)));
         return true;
@@ -712,9 +530,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
           }
         }
     }
-    // Traces and group bookkeeping are freed when `groups` goes out of
-    // scope — on this thread, in insertion order.
-
     if (privateShare) {
         // The sharded-run bookkeeping counters (stale-claim sweeps,
         // crash-recovered units) landed in the private transport
@@ -737,10 +552,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         privateShare.reset();
         std::error_code ec;
         std::filesystem::remove_all(privateShareDir, ec);
-    }
-    if (spillDirMade) {
-        std::error_code ec;
-        std::filesystem::remove_all(spillDir, ec);
     }
     if (!firstError.empty())
         throw std::runtime_error("sweep worker failed: " + firstError);

@@ -1,33 +1,24 @@
 /**
  * @file
- * Parallel sweep executor, in two phases. Phase 1 (serial, point-index
- * order): cache lookups, then one packed-trace capture per distinct
- * (kernel, impl, width, working set) — traces carry real buffer
- * addresses and the cache models are address-sensitive, so the heap
- * must evolve identically whatever the job count. Phase 2: the pending
- * points are grouped by capture identity and every group replays its
- * trace through all of its core configurations in a single traversal
- * (sim::simulateTraceMany); the groups are handed as opaque work units
- * to a pluggable ExecutionBackend (sweep/backend.hh) — serial inline,
- * the default work-stealing thread pool, or a fleet of forked shard
- * processes claiming units in the on-disk cache tier. Simulation is a
- * pure function of (trace, configs) and results land in a pre-sized
+ * Parallel sweep executor. Cache lookups run first, serially in
+ * point-index order; the pending points are then grouped by capture
+ * identity (kernel, impl, width, working set), and each group is one
+ * work unit handed to a pluggable ExecutionBackend (sweep/backend.hh)
+ * — serial inline, the default work-stealing thread pool, or a fleet
+ * of forked shard processes claiming units in the on-disk cache tier.
+ * The worker running a unit acquires its packed trace (the trace tier
+ * when warm, else make -> capture -> finish -> store), replays it
+ * through all of the group's core configurations in a single traversal
+ * (sim::simulateTraceMany), publishes the results and drops the trace,
+ * so at most `jobs` traces are live at once.
+ *
+ * Captured traces carry canonical addresses (trace/canonical.hh), so a
+ * unit's results are a pure function of its points, whatever thread,
+ * process or heap history captures them; results land in a pre-sized
  * vector at their point index, so every backend, every `--jobs` value
- * and every shard count produces byte-equal reports; the same
+ * and every shard count produces byte-equal reports. The same
  * determinism (seeded inputs, trace-driven model) is what makes the
  * result cache sound.
- *
- * The trace memo holds packed traces (trace::PackedTrace, mmap-backed)
- * under an optional byte budget (SWAN_TRACE_MEMO_BYTES): when live
- * packed bytes would exceed it, the oldest live traces (LRU for these
- * single-use traces) spill to a private disk directory — raw
- * syscalls, zero heap traffic — and their mmap storage is released;
- * the executing worker reloads the checksummed bytes in phase 2. That
- * bounds peak trace memory for paper-scale (`--ws full`) grids at
- * ~budget + one trace while keeping results byte-identical for any
- * budget and any job count (a reloaded trace is bit-identical to the
- * evicted one, so the budget cannot change results by construction;
- * see the TraceGroup notes in scheduler.cc).
  */
 
 #ifndef SWAN_SWEEP_SCHEDULER_HH
@@ -110,14 +101,6 @@ struct SchedulerConfig
     /** Cache warm-up passes fed to the core model (paper Section 4.3). */
     int warmupPasses = 1;
     /**
-     * Trace-memo byte budget: maximum bytes of live packed traces
-     * before the scheduler spills the oldest to disk (LRU,
-     * deterministic; results are byte-identical for any value).
-     * 0 = unlimited. Defaults to SWAN_TRACE_MEMO_BYTES (bytes).
-     */
-    uint64_t traceMemoBytes = envTraceMemoBytes();
-
-    /**
      * Sharded-backend deadline watchdog: if no shard makes publish/
      * claim progress (observed as changes in the share directory) for
      * this many milliseconds, the remaining shard children are killed
@@ -146,15 +129,10 @@ struct SchedulerConfig
      * worker threads (or the parent merge thread in a sharded run,
      * which is also where shard-computed rows surface — never from a
      * shard child), serialized by the scheduler: implementations need
-     * no locking of their own but must not block for long. The
-     * callback fires strictly after the capture phase, so it may
-     * allocate freely without touching the determinism contract.
+     * no locking of their own but must not block for long.
      * Null = no streaming (zero overhead).
      */
     RowCallback onRow;
-
-    /** Parse SWAN_TRACE_MEMO_BYTES; 0 when unset or unparsable. */
-    static uint64_t envTraceMemoBytes();
 };
 
 /**

@@ -114,11 +114,6 @@ environment (defaults only; explicit flags win — docs/api.md):
                                coldest results drop first, results
                                byte-identical for any value
   SWAN_METRICS                 default --metrics-out stem
-  SWAN_TRACE_MEMO_BYTES        cap the sweep's in-memory packed-trace
-                               memo; over-budget traces spill to disk
-                               during capture and reload for
-                               simulation, byte-identical results for
-                               any value (docs/trace.md)
 )";
 
 /** Split a comma-separated flag value; empty segments dropped. */
@@ -549,9 +544,8 @@ cmdRun(const Parsed &p, std::ostream &out, std::ostream &err)
             << " has no wider-register implementation\n";
         return 2;
     }
-    // One workload instance shared with the optional trace dump below:
-    // a dumped trace must replay to the cycle count reported here, and
-    // captured traces record real buffer addresses.
+    // One workload instance shared with the optional trace dump below,
+    // which must replay to the cycle count reported here.
     Session session = sessionFor(p);
     auto w = spec->make(session.options().workload);
     auto r = session.run(*w, p.impl, coreFor(p.coreName), p.bits);

@@ -8,7 +8,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
-#include <unistd.h>
 #define SWAN_PACKED_HAVE_MMAP 1
 #endif
 
@@ -330,16 +329,6 @@ PackedTrace::deliver(Sink &sink) const
         sink.onBlock(block, n);
 }
 
-void
-PackedTrace::releaseStorage()
-{
-    buf_.release();
-    count_ = 0;
-    mainLen_ = 0;
-    multiLen_ = 0;
-    descCount_ = 0;
-}
-
 // --- payload (the on-disk sweep trace tier) ----------------------------
 
 namespace
@@ -392,44 +381,6 @@ headerFor(uint64_t count, uint64_t main_len, uint64_t multi_len,
 }
 
 } // namespace
-
-bool
-PackedTrace::writePayload(std::FILE *f) const
-{
-    const PayloadHeader h =
-        headerFor(count_, mainLen_, multiLen_, descCount_, buf_.data(),
-                  buf_.size(), sizeof(Desc));
-    if (std::fwrite(&h, 1, sizeof h, f) != sizeof h)
-        return false;
-    if (buf_.size() &&
-        std::fwrite(buf_.data(), 1, buf_.size(), f) != buf_.size())
-        return false;
-    return true;
-}
-
-#if defined(__unix__) || defined(__APPLE__)
-bool
-PackedTrace::writePayload(int fd) const
-{
-    const PayloadHeader h =
-        headerFor(count_, mainLen_, multiLen_, descCount_, buf_.data(),
-                  buf_.size(), sizeof(Desc));
-    const auto writeAll = [fd](const void *data, size_t n) {
-        const auto *p = static_cast<const uint8_t *>(data);
-        while (n) {
-            const ssize_t w = ::write(fd, p, n);
-            if (w <= 0)
-                return false;
-            p += size_t(w);
-            n -= size_t(w);
-        }
-        return true;
-    };
-    if (!writeAll(&h, sizeof h))
-        return false;
-    return buf_.size() == 0 || writeAll(buf_.data(), buf_.size());
-}
-#endif
 
 void
 PackedTrace::appendPayload(std::string *out) const

@@ -31,12 +31,7 @@
  * it — no AoS buffer, no separate pack pass. pack() is a loop over the
  * same Builder, so both paths produce identical bytes.
  *
- * Storage lives in anonymous mmap regions, not the C++ heap. The sweep
- * scheduler frees traces mid-sweep under the SWAN_TRACE_MEMO_BYTES
- * budget; captured traces record real workload buffer addresses and
- * the cache models are address-sensitive, so trace eviction must not
- * perturb the malloc state later captures see (see
- * sweep/scheduler.cc). munmap keeps those frees invisible.
+ * Storage lives in anonymous mmap regions, not the C++ heap.
  */
 
 #ifndef SWAN_TRACE_PACKED_HH
@@ -45,7 +40,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -398,13 +392,6 @@ class PackedTrace
     void deliver(Sink &sink) const;
 
     /**
-     * Release the encoded storage early (munmap; invisible to malloc).
-     * The trace becomes empty. Used by the sweep trace memo to enforce
-     * its byte budget without perturbing heap determinism.
-     */
-    void releaseStorage();
-
-    /**
      * Deep copy. A fresh anonymous-mmap buffer plus a memcpy — no
      * malloc on POSIX, so the sweep cache's T0 pinned-trace memo can
      * pin and serve traces without perturbing the capture heap (the
@@ -569,25 +556,6 @@ class PackedTrace
      * on-disk sweep trace tier. Same-host format, FNV-checksummed.
      */
     void appendPayload(std::string *out) const;
-
-    /**
-     * Write the same payload straight to @p f without building a heap
-     * blob — the sweep scheduler spills evicted traces between
-     * captures, where a multi-megabyte transient malloc would perturb
-     * the capture thread's allocator state (and with it the
-     * address-sensitive simulation results).
-     * @return false on a short write.
-     */
-    bool writePayload(std::FILE *f) const;
-
-#if defined(__unix__) || defined(__APPLE__)
-    /**
-     * Raw-fd variant of writePayload: write(2) only, no stdio and no
-     * malloc at all — the spill path between captures must leave the
-     * allocator bit-untouched (see sweep/scheduler.cc).
-     */
-    bool writePayload(int fd) const;
-#endif
 
     /**
      * Parse an appendPayload() blob. @return false (and leaves @p out

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/canonical.hh"
 #include "trace/instr.hh"
 #include "trace/packed.hh"
 
@@ -55,6 +56,9 @@ class Sink
  *  - buffered: the full AoS trace is kept in memory, in the
  *    Recorder's own vector or a caller-owned one;
  *  - streaming: each record goes to a Sink without buffering.
+ *
+ * In every mode, once canonicalize() has been called, memory records
+ * carry canonical addresses (trace/canonical.hh) instead of host ones.
  */
 class Recorder
 {
@@ -80,13 +84,40 @@ class Recorder
     }
 
     /**
+     * Record canonical addresses from now on, in a fresh layout.
+     * @p stack_anchor is an address in the capturing frame; the
+     * kernel's stack frames lie below it. core::Runner calls this for
+     * every kernel capture.
+     */
+    void
+    canonicalize(const void *stack_anchor)
+    {
+        canonical_ = true;
+        addrs_.reset(stack_anchor);
+    }
+
+    /** A capture buffer was freed on this thread (trace/canonical.cc). */
+    void
+    invalidateTranslations()
+    {
+        addrs_.invalidate();
+    }
+
+    /**
      * Append an instruction. Assigns the id (program order, 1-based).
+     * A multi-address record's addr2 keeps its distance from addr.
      * @return the id, to be stored as provenance in produced values.
      */
     uint64_t
     emit(Instr instr)
     {
         instr.id = ++lastId_;
+        if (canonical_ && instr.addr) {
+            const uint64_t a = addrs_.translate(instr.addr);
+            if (instr.addr2)
+                instr.addr2 = a + (instr.addr2 - instr.addr);
+            instr.addr = a;
+        }
         if (builder_)
             builder_->add(instr);
         else if (keep_)
@@ -120,11 +151,13 @@ class Recorder
 
   private:
     bool keep_;
+    bool canonical_ = false;
     PackedTrace::Builder *builder_ = nullptr;
     Sink *sink_ = nullptr;
     std::vector<Instr> *ext_ = nullptr;
     uint64_t lastId_ = 0;
     std::vector<Instr> buf_;
+    AddressMap addrs_;
 };
 
 /**

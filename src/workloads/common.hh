@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the workload libraries: deterministic input
- * generation (the paper generates random inputs sized per Section 4.1) and
- * output comparison utilities used by Workload::verify().
+ * generation (the paper generates random inputs sized per Section 4.1),
+ * output comparison utilities used by Workload::verify(), and Buf, the
+ * container every workload buffer lives in.
  */
 
 #ifndef SWAN_WORKLOADS_COMMON_HH
@@ -16,9 +17,19 @@
 #include "core/options.hh"
 #include "core/registry.hh"
 #include "simd/simd.hh"
+#include "trace/canonical.hh"
 
 namespace swan::workloads
 {
+
+/**
+ * Workload storage: a vector whose blocks are registered capture
+ * buffers, so the addresses kernels trace in it are canonical (see
+ * trace/canonical.hh). Every buffer a kernel touches while it is
+ * captured, temporaries included, must be a Buf.
+ */
+template <typename T>
+using Buf = std::vector<T, trace::CaptureAlloc<T>>;
 
 /** SplitMix64-based deterministic RNG for input generation. */
 class Rng
@@ -61,20 +72,20 @@ class Rng
 
 /** Fill a byte/int vector with random data. */
 template <typename T>
-std::vector<T>
+Buf<T>
 randomInts(Rng &rng, size_t n)
 {
-    std::vector<T> v(n);
+    Buf<T> v(n);
     for (auto &x : v)
         x = T(rng.next());
     return v;
 }
 
 /** Fill a float vector with uniform values. */
-inline std::vector<float>
+inline Buf<float>
 randomFloats(Rng &rng, size_t n, float lo = -1.0f, float hi = 1.0f)
 {
-    std::vector<float> v(n);
+    Buf<float> v(n);
     for (auto &x : v)
         x = rng.f32(lo, hi);
     return v;
@@ -83,14 +94,14 @@ randomFloats(Rng &rng, size_t n, float lo = -1.0f, float hi = 1.0f)
 /** Exact comparison of integer outputs. */
 template <typename T>
 bool
-equalOutputs(const std::vector<T> &a, const std::vector<T> &b)
+equalOutputs(const Buf<T> &a, const Buf<T> &b)
 {
     return a == b;
 }
 
 /** Relative/absolute tolerance comparison for float outputs. */
 inline bool
-approxOutputs(const std::vector<float> &a, const std::vector<float> &b,
+approxOutputs(const Buf<float> &a, const Buf<float> &b,
               float tol = 1e-4f)
 {
     if (a.size() != b.size())

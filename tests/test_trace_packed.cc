@@ -961,17 +961,6 @@ TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdictFromEveryImpl)
     }
 }
 
-TEST(PackedTrace, ReleaseStorageEmptiesTheTrace)
-{
-    const auto instrs = randomTrace(500, 5);
-    auto packed = PackedTrace::pack(instrs);
-    EXPECT_GT(packed.byteSize(), 0u);
-    packed.releaseStorage();
-    EXPECT_EQ(packed.byteSize(), 0u);
-    EXPECT_TRUE(packed.empty());
-    EXPECT_TRUE(packed.unpack().empty());
-}
-
 TEST(PackedReplay, PackedSimulationMatchesAoS)
 {
     const auto instrs = randomTrace(4000, 17);

@@ -64,7 +64,7 @@ struct SessionOptions
     int shards = 1;
 
     /**
-     * Execution backend for the simulation phase (sweep/backend.hh):
+     * Execution backend for the sweep's work units (sweep/backend.hh):
      * Threaded (default; upgraded to Sharded when shards > 1), Inline
      * (serial, for tests/debug) or Sharded explicitly. Byte-identical
      * results whatever the choice — this is purely a placement policy.

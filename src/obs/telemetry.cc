@@ -170,10 +170,8 @@ Telemetry::shard()
 void
 Telemetry::record(const SpanRec &rec)
 {
-    // The recording path is a no-alloc region: spans bracket the
-    // capture phase itself, so any heap traffic here would perturb
-    // the capture-time layout metrics-on runs must share with
-    // metrics-off runs (file comment; docs/lint.md).
+    // The recording path is a no-alloc region (file comment;
+    // docs/lint.md).
     SWAN_NOALLOC_BEGIN("obs::Telemetry::record");
     const size_t i = n_.fetch_add(1, std::memory_order_relaxed);
     if (i < cap_)

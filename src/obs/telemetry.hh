@@ -223,7 +223,7 @@ class Telemetry
  * explicitly via close()). When no collector is active the whole
  * guard is one relaxed load; when one is, open/close each read two
  * clocks and close() appends one record — still malloc-free, so spans
- * may bracket the capture phase itself.
+ * may sit inside no-alloc regions.
  */
 class Span
 {

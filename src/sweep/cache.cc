@@ -391,10 +391,6 @@ ResultCache::entryExists(const std::string &dir, uint64_t stem_hash,
                          const char *ext)
 {
 #ifdef SWAN_CACHE_HAVE_POSIX
-    // Stack-built path + ::stat, because this is the far tier's
-    // *absence* probe and it runs on the capture thread: a miss must
-    // leave the heap exactly as a far-disabled run would (only a hit
-    // — which ends the capture story for its group — may allocate).
     char path[3072];
     const int n =
         std::snprintf(path, sizeof path, "%s/%016llx%s", dir.c_str(),
@@ -435,10 +431,8 @@ ResultCache::lookup(const CacheKey &key, core::KernelRun *out)
             if (map_.emplace(key, *out).second)
                 ramBytesEst_ += entryRamCost(key, *out);
             ++stats_.diskHits;
-            // No RAM pruning here: lookups run on the capture thread,
-            // and an eviction's free() would make the RAM cap a
-            // capture-heap knob. The memo may transiently overshoot
-            // until the next store() (strictly post-capture) prunes.
+            // No RAM pruning on lookups: the memo may transiently
+            // overshoot until the next store() prunes.
             return true;
         }
         case DiskLoad::Corrupt: {
@@ -506,9 +500,7 @@ ResultCache::store(const CacheKey &key, const core::KernelRun &run)
         if (map_.insert_or_assign(key, run).second)
             ramBytesEst_ += entryRamCost(key, run);
         ++stats_.stores;
-        // The only place the RAM cap evicts: store() runs strictly
-        // post-capture (phase 2 / the publish path), so the frees
-        // cannot shift the capture heap.
+        // The only place the RAM cap evicts.
         pruneRamLocked();
     }
     uint64_t wrote = 0;
@@ -986,10 +978,7 @@ ResultCache::maybePinTraceLocked(const TraceKey &key, uint32_t hot_count,
                                  const trace::PackedTrace &t,
                                  const trace::MixStats &mix)
 {
-    // Runs on the capture thread: everything below is mmap + POD (no
-    // malloc), because whether a pin happens depends on the byte
-    // budget, and a budget-dependent allocation would break the
-    // cross-budget byte-identity contract.
+    // Everything below is mmap + POD (no malloc).
     if (hot_count < kPinHits)
         return;
     const uint64_t bytes = t.byteSize();

@@ -423,11 +423,8 @@ class ResultCache
     void publishFarFile(const std::string &name);
 
     /**
-     * Existence probe for `<dir>/<stem><ext>` that never touches the
-     * heap on POSIX (stack-built path + ::stat): the far tier is
-     * probed on the capture thread, and a *miss* there must leave the
-     * heap exactly as a far-disabled build would — only a hit (which
-     * ends the capture sequence for that group) may allocate.
+     * Existence probe for `<dir>/<stem><ext>` (stack-built path +
+     * ::stat on POSIX).
      */
     static bool entryExists(const std::string &dir, uint64_t stem_hash,
                             const char *ext);

@@ -81,7 +81,7 @@ struct SchedulerConfig
      *  (and of the parent's recovery pool). */
     int jobs = 1;
     /**
-     * Execution backend for the simulation phase (sweep/backend.hh).
+     * Execution backend for the work units (sweep/backend.hh).
      * Threaded is upgraded to Sharded when shards > 1; an explicit
      * Inline or Sharded choice always wins. Results are byte-identical
      * whatever the choice.

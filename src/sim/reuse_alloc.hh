@@ -1,7 +1,7 @@
 /**
  * @file
  * Allocator for the core models' large state arrays (cache lines, the
- * ready and ROB rings, issue slots). Freed blocks of 64 KiB or more go
+ * ready ring, issue slots). Freed blocks of 64 KiB or more go
  * to a small per-thread free list and serve the next allocation of the
  * same size. A sweep worker builds fresh core models for every unit it
  * replays, between captures and trace-tier traffic on the same thread;

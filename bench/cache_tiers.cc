@@ -1,29 +1,24 @@
 /**
  * @file
- * Tiered-cache perf smoke: measures what the hotness-aware hierarchy
- * buys on skewed re-lookup traffic, and writes BENCH_cache_tiers.json
+ * Two-tier cache perf smoke: measures what a warm disk directory buys
+ * on skewed re-lookup traffic, and writes BENCH_cache_tiers.json
  * (argv[1] overrides the path) so the trajectory is tracked run over
  * run.
  *
- * Three passes over one 80/20-skewed lookup sequence (20% of the keys
- * take 80% of the traffic — the warm-service shape a sweep fleet sees):
+ * Two passes over one 80/20-skewed lookup sequence (20% of the keys
+ * take 80% of the traffic):
  *
- *   cold         empty tiers: every unique key misses once and is
- *                computed + stored (write-through to the far tier);
- *                repeats are served back out of the RAM memo,
- *   warm-skewed  fresh process image (new cache instance) on the warm
- *                directories: first touch per key off local disk,
- *                repeats out of RAM, hot packed traces pinned into the
- *                T0 memo after their second hit,
- *   far-cold     local tier wiped: first touch per key is a far hit
- *                write-through-promoted to local disk (the new-host
- *                story; reported, not gated).
+ *   cold         empty directory: every unique key misses once and is
+ *                computed + stored; repeats are served back out of the
+ *                in-process map,
+ *   warm-skewed  fresh cache instance on the warm directory (the "next
+ *                command against a warm cache" shape): first touch per
+ *                key off disk, repeats out of the in-process map.
  *
- * Gates: warm-skewed >= 1.3x faster than cold, and a hot-tier (RAM)
- * hit rate >= 0.9 on the warm pass. Report-only by default (CI
- * machines are noisy); an optimized build run with SWAN_PERF_ENFORCE=1
- * — which bench/run_all.sh sets — turns them into hard failures. A
- * warm-pass miss (recompute) is always a hard failure.
+ * Gate: warm-skewed >= 1.3x faster than cold. Report-only by default
+ * (CI machines are noisy); an optimized build run with
+ * SWAN_PERF_ENFORCE=1 — which bench/run_all.sh sets — turns it into a
+ * hard failure. A warm-pass miss (recompute) is always a hard failure.
  */
 
 #include <chrono>
@@ -131,28 +126,14 @@ runPass(sweep::ResultCache &cache, const std::vector<size_t> &seq,
     trace::MixStats m;
     for (size_t i = 0; i < kTraceLookups; ++i) {
         const auto key = traceKeyAt(i % kTraceKeys);
-        if (!cache.lookupTrace(key, &t, &m) && store_misses) {
+        if (!cache.lookupTrace(key, &t, &m) && store_misses)
             cache.storeTrace(key, trace, mix);
-            // Traces are not written through on store (shards publish
-            // to T1 only); the parent's post-capture publish step.
-            cache.publishTraceFar(key, &trace, mix);
-        }
     }
     const auto t1 = std::chrono::steady_clock::now();
     PassResult r;
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
     r.stats = cache.stats();
     return r;
-}
-
-double
-hotHitRate(const sweep::CacheStats &s)
-{
-    const double lookups = double(s.total() + s.traceHits +
-                                  s.traceRamHits + s.traceMisses);
-    if (lookups == 0)
-        return 0;
-    return double(s.hits + s.traceRamHits) / lookups;
 }
 
 } // namespace
@@ -167,11 +148,9 @@ main(int argc, char **argv)
                       ("swan_bench_cache_tiers_" +
                        std::to_string(::getpid()));
     const auto localDir = (base / "local").string();
-    const auto farDir = (base / "far").string();
     fs::remove_all(base);
 
-    // One real packed trace gives the trace tier honest decode/pin
-    // costs.
+    // One real packed trace gives the trace tier honest decode costs.
     const auto *spec = core::Registry::instance().find("ZL/adler32");
     if (!spec) {
         std::cerr << "cache_tiers: kernel ZL/adler32 not registered\n";
@@ -192,8 +171,7 @@ main(int argc, char **argv)
     sweep::CacheStats coldStats;
     for (int r = 0; r < reps; ++r) {
         fs::remove_all(base);
-        sweep::ResultCache cache(localDir, 0, farDir);
-        cache.setRamTraceBudget(64ull << 20);
+        sweep::ResultCache cache(localDir);
         const auto p = runPass(cache, seq, packed, mix, true);
         if (p.seconds < coldWall) {
             coldWall = p.seconds;
@@ -201,13 +179,12 @@ main(int argc, char **argv)
         }
     }
 
-    // Warm-skewed: same directories, fresh cache instance per rep (RAM
+    // Warm-skewed: same directory, fresh cache instance per rep (memory
     // cold, disk warm — the "next command against a warm cache" shape).
     double warmWall = 1e100;
     sweep::CacheStats warmStats;
     for (int r = 0; r < reps; ++r) {
-        sweep::ResultCache cache(localDir, 0, farDir);
-        cache.setRamTraceBudget(64ull << 20);
+        sweep::ResultCache cache(localDir);
         const auto p = runPass(cache, seq, packed, mix, false);
         if (p.stats.misses || p.stats.traceMisses) {
             std::cerr << "cache_tiers: warm pass recomputed ("
@@ -221,31 +198,10 @@ main(int argc, char **argv)
         }
     }
 
-    // Far-cold: wipe the local tier; every first touch promotes from
-    // the far tier (reported only — the far tier here shares a
-    // filesystem with T1, so the gap understates a real deployment).
-    double farWall = 1e100;
-    sweep::CacheStats farStats;
-    for (int r = 0; r < reps; ++r) {
-        fs::remove_all(localDir);
-        sweep::ResultCache cache(localDir, 0, farDir);
-        cache.setRamTraceBudget(64ull << 20);
-        const auto p = runPass(cache, seq, packed, mix, false);
-        if (p.stats.misses || p.stats.traceMisses) {
-            std::cerr << "cache_tiers: far pass recomputed\n";
-            return 1;
-        }
-        if (p.seconds < farWall) {
-            farWall = p.seconds;
-            farStats = p.stats;
-        }
-    }
     fs::remove_all(base);
 
     const double speedup = coldWall / warmWall;
-    const double rate = hotHitRate(warmStats);
     constexpr double kSpeedupGate = 1.3;
-    constexpr double kHotRateGate = 0.9;
 #ifdef NDEBUG
     const char *enf = std::getenv("SWAN_PERF_ENFORCE");
     const bool gateEnforced = enf && enf[0] == '1';
@@ -253,22 +209,16 @@ main(int argc, char **argv)
     const bool gateEnforced = false;
 #endif
 
-    core::banner(std::cout, "Tiered cache perf smoke (80/20 traffic)");
+    core::banner(std::cout, "Two-tier cache perf smoke (80/20 traffic)");
     core::Table t({"pass", "wall ms", "vs cold"});
     t.addRow({"cold (miss+store)", core::fmt(coldWall * 1e3, 2),
               core::fmtX(1.0, 2)});
     t.addRow({"warm-skewed", core::fmt(warmWall * 1e3, 2),
               core::fmtX(speedup, 2)});
-    t.addRow({"far-cold (promote)", core::fmt(farWall * 1e3, 2),
-              core::fmtX(coldWall / farWall, 2)});
     t.print(std::cout);
-    std::cout << "warm pass: " << warmStats.hits << " RAM hits, "
+    std::cout << "warm pass: " << warmStats.hits << " memory hits, "
               << warmStats.diskHits << " disk hits, "
-              << warmStats.traceRamHits << " pinned-trace hits, "
-              << warmStats.ramPromotions << " pins; hot-tier rate "
-              << core::fmt(rate, 3) << "\n";
-    std::cout << "far pass: " << farStats.farHits << " far hits, "
-              << farStats.farPromotions << " promoted to local disk\n";
+              << warmStats.traceHits << " trace disk hits\n";
 
     {
         std::ofstream os(jsonPath, std::ios::trunc);
@@ -279,21 +229,12 @@ main(int argc, char **argv)
            << "  \"lookups\": " << kLookups << ",\n"
            << "  \"cold_wall_s\": " << fmtJson(coldWall) << ",\n"
            << "  \"warm_skewed_wall_s\": " << fmtJson(warmWall) << ",\n"
-           << "  \"far_cold_wall_s\": " << fmtJson(farWall) << ",\n"
            << "  \"speedup_warm_vs_cold\": " << fmtJson(speedup) << ",\n"
-           << "  \"hot_hit_rate\": " << fmtJson(rate) << ",\n"
-           << "  \"warm_ram_hits\": " << warmStats.hits << ",\n"
+           << "  \"warm_memory_hits\": " << warmStats.hits << ",\n"
            << "  \"warm_disk_hits\": " << warmStats.diskHits << ",\n"
-           << "  \"warm_trace_ram_hits\": " << warmStats.traceRamHits
-           << ",\n"
-           << "  \"warm_ram_promotions\": " << warmStats.ramPromotions
-           << ",\n"
-           << "  \"far_hits\": " << farStats.farHits << ",\n"
-           << "  \"far_promotions\": " << farStats.farPromotions << ",\n"
-           << "  \"cold_far_stores\": " << coldStats.farStores << ",\n"
+           << "  \"warm_trace_hits\": " << warmStats.traceHits << ",\n"
+           << "  \"cold_stores\": " << coldStats.stores << ",\n"
            << "  \"gate_speedup_min\": " << fmtJson(kSpeedupGate) << ",\n"
-           << "  \"gate_hot_hit_rate_min\": " << fmtJson(kHotRateGate)
-           << ",\n"
            << "  \"gate_enforced\": "
            << (gateEnforced ? "true" : "false") << "\n"
            << "}\n";
@@ -308,12 +249,6 @@ main(int argc, char **argv)
         std::cerr << "cache_tiers: warm-skewed only "
                   << core::fmtX(speedup, 3) << " vs cold (< "
                   << kSpeedupGate << "x)\n";
-        return 1;
-    }
-    if (gateEnforced && rate < kHotRateGate) {
-        std::cerr << "cache_tiers: hot-tier hit rate only "
-                  << core::fmt(rate, 3) << " (< " << kHotRateGate
-                  << ")\n";
         return 1;
     }
     return 0;

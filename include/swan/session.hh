@@ -2,8 +2,8 @@
  * @file
  * swan::Session — the runtime-policy root of the public API. A Session
  * owns everything about *how* experiments execute (worker threads,
- * trace-memo byte budget, result-cache location and size cap, cache
- * warm-up passes) as explicit options, replacing the scattered SWAN_*
+ * result-cache location and size cap, cache warm-up passes) as
+ * explicit options, replacing the scattered SWAN_*
  * getenv calls that benches and the CLI used to hand-wire. The
  * environment variables still work, but only as *defaults*:
  * Session::fromEnv() reads them once into a SessionOptions value, and
@@ -45,33 +45,8 @@ namespace swan
 struct SessionOptions
 {
     /** Sweep worker threads; <= 0 means all hardware threads.
-     *  Results are byte-identical for any value. In a sharded sweep
-     *  this is the pool width of every shard process. [env: SWAN_JOBS] */
+     *  Results are byte-identical for any value. [env: SWAN_JOBS] */
     int jobs = 1;
-
-    /**
-     * Sweep worker *processes*: shards > 1 runs every Experiment's
-     * work units on the multi-process sharded backend — the shards
-     * fork after the cache lookups, claim work units via atomic
-     * lockfiles in the on-disk cache tier (cacheDir, or a private
-     * per-run directory when no cache is configured) and publish
-     * results as ordinary cache entries the parent merges back
-     * deterministically. Emitter output is byte-identical for any
-     * shards x jobs combination, crashed shards included (the parent
-     * re-executes whatever a dead shard left behind). 1 = in-process.
-     * [env: SWAN_SHARDS]
-     */
-    int shards = 1;
-
-    /**
-     * Execution backend for the sweep's work units (sweep/backend.hh):
-     * Threaded (default; upgraded to Sharded when shards > 1), Inline
-     * (serial, for tests/debug) or Sharded explicitly. Byte-identical
-     * results whatever the choice — this is purely a placement policy.
-     * Explicit API option only, deliberately not an environment
-     * variable: `shards` is the deployment knob.
-     */
-    sweep::Backend backend = sweep::Backend::Threaded;
 
     /** Cache warm-up passes fed to the core model before the measured
      *  replay (paper Section 4.3). */
@@ -82,44 +57,11 @@ struct SessionOptions
      *  [env: SWAN_SWEEP_CACHE_DIR] */
     std::string cacheDir;
 
-    /** Size cap for the on-disk cache directory: after every store the
-     *  coldest entries (hotness, then first-lookup order — never file
-     *  mtimes) are pruned until the tier fits. 0 = unbounded.
+    /** Size cap for the on-disk cache directory: after every store,
+     *  entries are pruned in (first-lookup order, file name) order —
+     *  never by file mtime — until the tier fits. 0 = unbounded.
      *  [env: SWAN_SWEEP_CACHE_MAX_BYTES] */
     uint64_t cacheMaxBytes = 0;
-
-    /** Far/shared cache tier (T2) directory — the slow, durable tier a
-     *  sweep service shares across hosts. Probed after the local disk
-     *  tier; hits are write-through-promoted into cacheDir, stores
-     *  write through (parent process only in sharded runs). Empty = no
-     *  far tier. See docs/cache.md. [env: SWAN_CACHE_FAR_DIR] */
-    std::string farCacheDir;
-
-    /** Byte cap for the in-RAM result memo (T0): over the cap, the
-     *  coldest results are dropped (they remain on disk). 0 =
-     *  unbounded, the pre-tiering behavior. Byte-identical results for
-     *  any value. [env: SWAN_CACHE_RAM_BYTES] */
-    uint64_t cacheRamMaxBytes = 0;
-
-    /**
-     * Sharded-run deadline watchdog: kill shard processes that make no
-     * observable progress (no share-directory change) for this many
-     * milliseconds; their claimed units are recovered by the parent
-     * through the ordinary bit-identical crash path. 0 = wait forever.
-     * [env: SWAN_SHARD_TIMEOUT_MS]
-     */
-    uint64_t shardTimeoutMs = 0;
-
-    /**
-     * Units per sharded claim: consecutive work units of a sharded run
-     * share one atomic claim lockfile, whose token folds the member
-     * unit tokens — fewer filesystem round-trips when the grid has
-     * many small units (e.g. a slow networked cache directory).
-     * 1 (default) claims per unit under the unit's own token, keeping
-     * claim filenames identical to previous releases. Results are
-     * byte-identical for any value. [env: SWAN_SHARD_BATCH]
-     */
-    int shardBatch = 1;
 
     /**
      * Default fault-scenario axis for Experiments run through this
@@ -140,7 +82,7 @@ struct SessionOptions
      * Telemetry output stem: when non-empty, every Experiment::run()
      * through the session collects swan::obs spans and writes
      * `<stem>.report.json` (per-phase wall/CPU aggregate, replay
-     * throughput, fleet cache traffic, per-shard breakdown) and
+     * throughput, cache traffic) and
      * `<stem>.trace.jsonl` (Chrome trace events — load in Perfetto or
      * chrome://tracing; see docs/observability.md). Collection is
      * malloc-free on the recording path, so emitter output stays
@@ -153,18 +95,6 @@ struct SessionOptions
     withJobs(int n)
     {
         jobs = n;
-        return *this;
-    }
-    SessionOptions &
-    withShards(int n)
-    {
-        shards = n;
-        return *this;
-    }
-    SessionOptions &
-    withBackend(sweep::Backend b)
-    {
-        backend = b;
         return *this;
     }
     SessionOptions &
@@ -183,30 +113,6 @@ struct SessionOptions
     withCacheMaxBytes(uint64_t n)
     {
         cacheMaxBytes = n;
-        return *this;
-    }
-    SessionOptions &
-    withFarCacheDir(std::string dir)
-    {
-        farCacheDir = std::move(dir);
-        return *this;
-    }
-    SessionOptions &
-    withCacheRamMaxBytes(uint64_t n)
-    {
-        cacheRamMaxBytes = n;
-        return *this;
-    }
-    SessionOptions &
-    withShardTimeoutMs(uint64_t ms)
-    {
-        shardTimeoutMs = ms;
-        return *this;
-    }
-    SessionOptions &
-    withShardBatch(int n)
-    {
-        shardBatch = n;
         return *this;
     }
     SessionOptions &
@@ -250,11 +156,11 @@ class Session
 
     /**
      * The SWAN_* environment overlaid on the library defaults:
-     * SWAN_JOBS, SWAN_SHARDS, SWAN_SHARD_TIMEOUT_MS, SWAN_SHARD_BATCH,
-     * SWAN_SWEEP_CACHE_DIR, SWAN_SWEEP_CACHE_MAX_BYTES, SWAN_METRICS. Unset,
-     * unparsable or (for SWAN_JOBS / SWAN_SHARDS) non-positive values
-     * leave the built-in default untouched: all-cores fan-out is an
-     * explicit option (jobs <= 0), never an ambient environment one.
+     * SWAN_JOBS, SWAN_SWEEP_CACHE_DIR, SWAN_SWEEP_CACHE_MAX_BYTES,
+     * SWAN_METRICS and the SWAN_FULL / SWAN_FAST workload sizes.
+     * Unset, unparsable or (for SWAN_JOBS) non-positive values leave
+     * the built-in default untouched: all-cores fan-out is an explicit
+     * option (jobs <= 0), never an ambient environment one.
      */
     static SessionOptions envDefaults();
 

@@ -13,9 +13,7 @@ namespace
  * or non-positive. SWAN_JOBS deliberately cannot express "all cores":
  * an environment default silently fanning a sweep out to every
  * hardware thread is a footgun, so all-cores stays an explicit choice
- * (SessionOptions::jobs <= 0, or `--jobs 0` on the CLI). SWAN_SHARDS
- * shares the rule: forking a process fleet is opt-in per value, never
- * an ambient "as many as possible".
+ * (SessionOptions::jobs <= 0, or `--jobs 0` on the CLI).
  */
 int
 envInt(const char *name, int fallback)
@@ -32,8 +30,7 @@ envInt(const char *name, int fallback)
 
 Session::Session(SessionOptions opts)
     : opts_(std::move(opts)),
-      cache_(opts_.cacheDir, opts_.cacheMaxBytes, opts_.farCacheDir,
-             opts_.cacheRamMaxBytes)
+      cache_(opts_.cacheDir, opts_.cacheMaxBytes)
 {
 }
 
@@ -45,17 +42,8 @@ Session::envDefaults()
     // and the engine.
     SessionOptions o;
     o.jobs = envInt("SWAN_JOBS", o.jobs);
-    o.shards = envInt("SWAN_SHARDS", o.shards);
-    if (o.shards > sweep::ShardedBackend::kMaxShards)
-        o.shards = sweep::ShardedBackend::kMaxShards;
-    if (uint64_t ms = 0;
-        sweep::parseByteCount(std::getenv("SWAN_SHARD_TIMEOUT_MS"), &ms))
-        o.shardTimeoutMs = ms;
-    o.shardBatch = envInt("SWAN_SHARD_BATCH", o.shardBatch);
     o.cacheDir = sweep::ResultCache::envDiskDir();
     o.cacheMaxBytes = sweep::ResultCache::envMaxDiskBytes();
-    o.farCacheDir = sweep::ResultCache::envFarDir();
-    o.cacheRamMaxBytes = sweep::ResultCache::envRamMaxBytes();
     o.workload = core::Options::fromEnv();
     if (const char *v = std::getenv("SWAN_METRICS"); v && *v)
         o.metricsOut = v;
@@ -100,12 +88,8 @@ Session::schedulerConfig() const
 {
     sweep::SchedulerConfig sc;
     sc.jobs = opts_.jobs;
-    sc.backend = opts_.backend;
-    sc.shards = opts_.shards;
     sc.cache = &cache_;
     sc.warmupPasses = opts_.warmupPasses;
-    sc.shardTimeoutMs = opts_.shardTimeoutMs;
-    sc.shardBatch = opts_.shardBatch;
     return sc;
 }
 

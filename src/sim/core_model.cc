@@ -695,8 +695,7 @@ replayWith(const trace::PackedTrace &trace,
     constexpr size_t kBatch = 4 * trace::PackedTrace::kBlockInstrs;
     // Decode sub-batch: the batch kernels (Cursor::nextBatch) fill an
     // L1-resident Decoded span which the merge loop folds with the
-    // prototype table into StepIn operands. Capture-phase scratch:
-    // sized by the Decoded layout pin.
+    // prototype table into StepIn operands (128 x 56-byte Decoded).
     constexpr size_t kDecodeChunk = 128;
     CoreModel::StepIn batch[kBatch];
     trace::PackedTrace::Decoded dbuf[kDecodeChunk];

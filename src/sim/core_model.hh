@@ -167,11 +167,8 @@ void replayWith(const trace::PackedTrace &trace,
                 ReplayObserver *payload);
 } // namespace detail
 
-/** Incremental trace-driven core model. Capture-phase type: replay
- *  drivers allocate it while benches interleave capture and
- *  simulation — its malloc size class is pinned in
- *  include/swan/internal/layout.hh. */
-class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
+/** Incremental trace-driven core model. */
+class CoreModel : public trace::Sink
 {
   public:
     explicit CoreModel(const CoreConfig &cfg);
@@ -341,17 +338,8 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
      * branchCountdown counts branches down to the next modeled
      * mispredict (the 1/rate floating divide now runs once per
      * mispredict, not once per branch).
-     *
-     * Layout note: this struct replaces the old scattered scalars
-     * byte-for-byte, keeping sizeof(CoreModel) — and with it the
-     * replay drivers' transient heap-request sizes — in the same
-     * allocator size class. Benches that interleave capture and
-     * simulation on one thread depend on the simulator's heap traffic
-     * staying stable, because captured traces carry real buffer
-     * addresses and the cache models are address-sensitive (see
-     * sweep/scheduler.cc).
      */
-    struct SWAN_CAPTURE_TYPE StepState
+    struct StepState
     {
         uint64_t n = 0;           //!< instructions consumed (all passes)
         uint64_t idOffset = 0;    //!< re-bases per-pass instruction ids
@@ -366,6 +354,12 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
         int issueCount = 0;
         uint32_t robIdx = 0;      //!< n % robSize, maintained incrementally
     };
+    // The fused loop copies one StepState per configuration lane and
+    // sizes its SoA lane arrays by it: growing it pushes a LaneBlock
+    // past the L1 footprint the replay throughput was tuned for.
+    static_assert(sizeof(StepState) == 80,
+                  "StepState grew: the fused replay's lane arrays are "
+                  "sized for 80 bytes per configuration");
 
     /**
      * One vector of configuration lanes in the fused replay engine:
@@ -376,12 +370,8 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
      * 448 bytes of frontier hints) are one contiguous span instead of
      * N scattered 160-byte records — the lane loop walks adjacent
      * cache lines regardless of where the models themselves live.
-     * Capture-phase type: replays > kLanes configurations heap a
-     * dense block array while benches interleave capture and
-     * simulation, so its size is pinned
-     * (include/swan/internal/layout.hh).
      */
-    struct SWAN_CAPTURE_TYPE LaneBlock
+    struct LaneBlock
     {
         /** Lanes per block; replay() spans this wide on the stack. */
         static constexpr size_t kLanes = 8;
@@ -392,25 +382,17 @@ class SWAN_CAPTURE_TYPE CoreModel : public trace::Sink
         StepBlockFn fnChecked[kLanes]; //!< restart check per instr
         StepBlockFn fnMono[kLanes];    //!< batch proven monotone
     };
-
-  public:
-    /** sizeof(StepState), exported so the centralized layout pin
-     *  (include/swan/internal/layout.hh) can assert on a private
-     *  nested type. The SoA lane arrays the fused loop copies per
-     *  configuration are sized by this. */
-    static constexpr size_t kStepStateBytes = sizeof(StepState);
-
-    /** sizeof(LaneBlock), exported for the same layout pin. */
-    static constexpr size_t kLaneBlockBytes = sizeof(LaneBlock);
+    // One block is 20 cache lines the lane loop walks every batch;
+    // keep it L1-resident next to the decode buffers.
+    static_assert(sizeof(void *) != 8 || sizeof(LaneBlock) == 1280,
+                  "LaneBlock left its 1280-byte L1 footprint");
 
   private:
     CoreConfig cfg_;
     MemHierarchy mem_;
     StepState st_;
 
-    // Ring/pool storage. The per-pool vector layout (and construction
-    // order) is part of the same capture-determinism contract as the
-    // StepState layout note above.
+    // Ring/pool storage.
     std::vector<uint64_t, ReuseAlloc<uint64_t>> readyRing_;
     std::vector<uint64_t> robRing_;
     std::array<std::vector<uint64_t>, size_t(trace::Fu::NumFus)> fuFree_;

@@ -1,39 +1,30 @@
 /**
  * @file
- * Sweep result cache — a unified three-tier hierarchy. An experiment
- * point is keyed by (kernel qualified name, implementation, vector
- * width, core-config fingerprint, working-set fingerprint, warm-up
- * passes), and a finished KernelRun is served to any later point with
- * the same key without re-simulation:
+ * Sweep result cache — two tiers. An experiment point is keyed by
+ * (kernel qualified name, implementation, vector width, core-config
+ * fingerprint, working-set fingerprint, warm-up passes), and a finished
+ * KernelRun is served to any later point with the same key without
+ * re-simulation:
  *
- *   T0  RAM      in-process result map + a fixed-slot pinned-trace
- *                memo (hot packed traces held decoded-ready in
- *                anonymous mmap, budgeted in bytes)
- *   T1  disk     one `.swr` / `.swtp` file per key in the local cache
- *                directory (SWAN_SWEEP_CACHE_DIR)
- *   T2  far      an optional shared/far directory (SWAN_CACHE_FAR_DIR)
- *                — the slow, durable tier a sweep service would share
- *                across hosts. Far hits are write-through-promoted to
- *                T1; stores write through to T2 (parent process only).
+ *   memory  in-process result map (this ResultCache's lifetime)
+ *   disk    one `.swr` result / `.swtp` packed-trace file per key in
+ *           the local cache directory (SWAN_SWEEP_CACHE_DIR), shared
+ *           by every process pointed at it
  *
- * Placement is driven by per-entry *hotness*: a decayed access count
- * bumped only by lookup traffic (never by wall-clock or file mtimes),
- * held in a side table keyed by the 64-bit key hash so CacheKey itself
- * never grows. Entries promote upward on their Nth hit (hot packed
- * traces are pinned in RAM up to the byte budget) and every capped
- * tier evicts cold-first: eviction order is (hotness asc, first-lookup
- * order asc, name asc) — a pure function of the lookup history, so a
- * given directory state and lookup sequence always prunes the same way
- * on every platform. See docs/cache.md for the tier diagram and the
- * full promotion/demotion policy.
+ * Under a size cap the disk tier evicts in (first-lookup order, file
+ * name) order: entries this process looked up earliest go first, and
+ * entries it never looked up (sequence 0) go before any of them, in
+ * name order. A pure function of the lookup sequence and the directory
+ * listing — never file mtimes — so a given directory state and lookup
+ * sequence always prunes the same way on every platform. See
+ * docs/cache.md.
  *
  * Precision of the contract: capture and simulation are deterministic
  * given the key alone — traces carry canonical addresses
  * (trace/canonical.hh), so a point's result does not depend on the
  * process, the thread or what ran before it. Byte-identity therefore
- * holds across --jobs values, backends, shard counts and far-dir
- * on/off, across processes, and between cold, partially warm and
- * fully warm runs.
+ * holds across --jobs values, across processes, and between cold,
+ * partially warm and fully warm runs.
  */
 
 #ifndef SWAN_SWEEP_CACHE_HH
@@ -45,7 +36,6 @@
 #include <unordered_map>
 
 #include "core/runner.hh"
-#include "swan/internal/contracts.hh"
 #include "sweep/grid.hh"
 #include "trace/packed.hh"
 #include "trace/stats.hh"
@@ -60,24 +50,17 @@ uint64_t fingerprint(const core::Options &opts);
 /** FNV-1a seed shared by every 64-bit hash in the sweep engine. */
 constexpr uint64_t kFnv64Seed = 1469598103934665603ull;
 
-/** Continue an FNV-1a hash over the 8 bytes of @p v (little-endian
- *  byte order, same constants as the cache-key hashes). Seed with
- *  kFnv64Seed. Used to derive the sharded backend's content-stable
- *  unit/run tokens from cache-key hashes. */
-uint64_t fnvMix64(uint64_t h, uint64_t v);
-
 /**
- * Parse a non-negative decimal byte count (the SWAN_* budget/cap
- * variables and their CLI flags share this one parser so format rules
- * cannot drift). Rejects negatives — strtoull alone would wrap "-1"
+ * Parse a non-negative decimal byte count (SWAN_SWEEP_CACHE_MAX_BYTES
+ * and its CLI flag share this one parser so format rules cannot
+ * drift). Rejects negatives — strtoull alone would wrap "-1"
  * to 2^64-1. @return false on null/empty/unparsable input, leaving
  * @p out untouched.
  */
 bool parseByteCount(const char *s, uint64_t *out);
 
-/** Identity of one experiment point's result. Capture-phase type —
- *  size pinned in swan/internal/layout.hh. */
-struct SWAN_CAPTURE_TYPE CacheKey
+/** Identity of one experiment point's result. */
+struct CacheKey
 {
     std::string kernel;     //!< qualified name, e.g. "ZL/adler32"
     core::Impl impl = core::Impl::Neon;
@@ -90,12 +73,7 @@ struct SWAN_CAPTURE_TYPE CacheKey
      * nonzero for any enabled scenario); 0 = clean. Nonzero values
      * join the hash, so faulted and clean points can never collide in
      * either tier, while clean keys (and their on-disk file stems and
-     * bodies) are unchanged from pre-fault builds. uint32_t in what
-     * was padding after warmupPasses: memory-tier nodes are allocated
-     * while a sweep is still capturing, so sizeof(CacheKey) must not
-     * grow (the same capture-time heap-layout contract as
-     * SweepPoint::faultId). Tier/hotness state lives in side tables
-     * keyed by hash() for the same reason.
+     * bodies) are unchanged from pre-fault builds.
      */
     uint32_t faultFp = 0;
 
@@ -142,8 +120,8 @@ TraceKey traceKeyFor(const SweepPoint &point);
 /** Aggregate counters for one cache over its lifetime. */
 struct CacheStats
 {
-    uint64_t hits = 0;       //!< served from the in-process map (T0)
-    uint64_t diskHits = 0;   //!< served from the local disk tier (T1)
+    uint64_t hits = 0;       //!< served from the in-process map
+    uint64_t diskHits = 0;   //!< served from the disk tier
     uint64_t misses = 0;     //!< absent everywhere; caller simulates
     uint64_t stores = 0;     //!< results inserted
 
@@ -151,91 +129,42 @@ struct CacheStats
     uint64_t traceHits = 0;   //!< capture skipped, trace read off disk
     uint64_t traceMisses = 0; //!< caller captures (and stores)
     uint64_t traceStores = 0; //!< packed traces written
-    /** Traces served from the T0 pinned-trace memo (no disk read, no
-     *  payload re-validation — the hot-traffic fast path). */
-    uint64_t traceRamHits = 0;
 
-    /** T1 entries pruned by the size cap (cold-first, .swr + .swtp) —
-     *  the disk tier's demotions. */
+    /** Disk entries pruned by the size cap (.swr + .swtp). */
     uint64_t evictions = 0;
-
-    // Tier-transition traffic (see docs/cache.md).
-    uint64_t farHits = 0;       //!< served from the far tier (T2)
-    uint64_t farMisses = 0;     //!< probes that reached T2 and missed
-    uint64_t farStores = 0;     //!< entries published to T2
-    /** T2 hits write-through-promoted into the local disk tier. */
-    uint64_t farPromotions = 0;
-    /** Entries promoted into RAM: packed traces pinned on their Nth
-     *  hit under the T0 byte budget. */
-    uint64_t ramPromotions = 0;
-    /** T0 evictions: pinned traces unpinned (budget pressure) and
-     *  result-memo entries dropped under the RAM cap, cold-first. */
-    uint64_t ramDemotions = 0;
 
     /** Structurally corrupt on-disk entries (bad magic, truncation,
      *  checksum mismatch) renamed to `<name>.quarantined` and served
-     *  as misses — local and far tier combined. A wrong-but-well-formed
-     *  entry (key echo mismatch under a hash collision) stays a plain
-     *  miss — quarantine is for damaged bytes, not foreign entries. */
+     *  as misses. A wrong-but-well-formed entry (key echo mismatch
+     *  under a hash collision) stays a plain miss — quarantine is for
+     *  damaged bytes, not foreign entries. */
     uint64_t corruptEntriesQuarantined = 0;
 
-    // Sharded-backend bookkeeping (parent-side; zero for in-process
-    // runs). Surfaced here because the shared cache directory is where
-    // the claim protocol lives and absorbStats() is how fleet counters
-    // already travel.
-    /** Stale `.claim`/`.stats`/`.obsnap` files (dead-pid owners) swept
-     *  at the start of a sharded run. */
-    uint64_t staleClaimsSwept = 0;
-    /** Work units re-executed by the parent because the claiming
-     *  shard died before publishing (crash recovery). */
-    uint64_t recoveredUnits = 0;
-
-    uint64_t total() const { return hits + diskHits + farHits + misses; }
+    uint64_t total() const { return hits + diskHits + misses; }
 };
 
 /**
- * The three-tier result cache (see the file comment for the tier
- * diagram). Disk and far entries are validated against the full key
- * (not just its hash) and ignored on any mismatch or parse error, so a
- * stale or corrupt cache directory degrades to a miss, never to a
- * wrong result. Structurally damaged entries (truncation, checksum
- * mismatch, bad magic) are additionally renamed to `<name>.quarantined`
- * — counted in CacheStats::corruptEntriesQuarantined — so a bad sector
- * cannot cost a validation pass on every future lookup of that key.
+ * The two-tier result cache (see the file comment). Disk entries are
+ * validated against the full key (not just its hash) and ignored on
+ * any mismatch or parse error, so a stale or corrupt cache directory
+ * degrades to a miss, never to a wrong result. Structurally damaged
+ * entries (truncation, checksum mismatch, bad magic) are additionally
+ * renamed to `<name>.quarantined` — counted in
+ * CacheStats::corruptEntriesQuarantined — so a bad sector cannot cost
+ * a validation pass on every future lookup of that key.
  */
 class ResultCache
 {
   public:
-    /** Hits after which a packed trace is pinned into the T0 memo. */
-    static constexpr uint32_t kPinHits = 2;
-    /** Lookup count between hotness decays (every counter halves),
-     *  so stale popularity ages out as a function of traffic, not
-     *  time. */
-    static constexpr uint64_t kDecayPeriod = 1024;
-    /** Fixed slot count of the T0 pinned-trace memo. Fixed so pin and
-     *  unpin never touch malloc (the capture-heap contract). */
-    static constexpr size_t kRamTraceSlots = 32;
-
     /**
-     * @param disk_dir       Local disk tier (T1) directory; empty =
-     *        no durable local tier.
-     * @param max_disk_bytes Size cap for the T1 tier: after every
-     *        store, the coldest entries (result .swr and packed-trace
-     *        .swtp files, ordered by hotness, then first-lookup order,
-     *        then file name — never mtime) are removed until the tier
-     *        fits. 0 = unbounded.
-     * @param far_dir        Far/shared tier (T2) directory; empty =
-     *        no far tier. Lookups probe it after T1 and promote hits
-     *        into T1; stores write through to it (unless far
-     *        publishing is disabled, e.g. in shard children).
-     * @param ram_max_bytes  Byte cap for the T0 in-RAM result memo
-     *        (estimate-based; cold-first eviction). 0 = unbounded,
-     *        the pre-tiering behavior.
+     * @param disk_dir       Disk tier directory; empty = memory only.
+     * @param max_disk_bytes Size cap for the disk tier: after every
+     *        store, entries (result .swr and packed-trace .swtp files)
+     *        are removed in (first-lookup order, file name) order
+     *        until the tier fits — never by mtime. 0 = unbounded.
      */
     explicit ResultCache(std::string disk_dir = {},
-                         uint64_t max_disk_bytes = 0,
-                         std::string far_dir = {},
-                         uint64_t ram_max_bytes = 0);
+                         uint64_t max_disk_bytes = 0);
 
     /** SWAN_SWEEP_CACHE_DIR, or empty when unset. */
     static std::string envDiskDir();
@@ -243,112 +172,33 @@ class ResultCache
     /** SWAN_SWEEP_CACHE_MAX_BYTES, or 0 when unset/unparsable. */
     static uint64_t envMaxDiskBytes();
 
-    /** SWAN_CACHE_FAR_DIR, or empty when unset. */
-    static std::string envFarDir();
-
-    /** SWAN_CACHE_RAM_BYTES, or 0 (unbounded) when unset/unparsable. */
-    static uint64_t envRamMaxBytes();
-
     /** Memory-only unless SWAN_SWEEP_CACHE_DIR names a directory;
-     *  capped when SWAN_SWEEP_CACHE_MAX_BYTES is set; far tier when
-     *  SWAN_CACHE_FAR_DIR names a directory. */
+     *  capped when SWAN_SWEEP_CACHE_MAX_BYTES is set. */
     static ResultCache fromEnv()
     {
-        return ResultCache(envDiskDir(), envMaxDiskBytes(), envFarDir(),
-                           envRamMaxBytes());
+        return ResultCache(envDiskDir(), envMaxDiskBytes());
     }
-
-    /**
-     * Process-wide far-publish gate. Shard children flip it off after
-     * fork: shards publish to the shared local tier (T1) only, and the
-     * parent syncs the far tier once per merged unit via publishFar()
-     * — one writer per entry instead of a fleet racing over a slow
-     * shared directory. Defaults to enabled.
-     */
-    static void setFarPublishEnabled(bool on);
-    static bool farPublishEnabled();
 
     bool lookup(const CacheKey &key, core::KernelRun *out);
     void store(const CacheKey &key, const core::KernelRun &run);
 
     /**
-     * lookup() without touching the hit/miss counters or the hotness
-     * table: the sharded backend's parent-side merge reads results the
-     * very same run just computed in a shard child, which must not
-     * masquerade as cache traffic in the run's reported stats (or
-     * heat entries the user never re-requested). Fills the in-memory
-     * tier on a disk read like lookup().
-     */
-    bool lookupQuiet(const CacheKey &key, core::KernelRun *out);
-
-    /**
-     * Copy @p key's T1 entry (result and/or packed trace) into the far
-     * tier if the far tier lacks it. The sharded parent calls this per
-     * merged unit so T2 converges even though shard children never
-     * write it. No-op without a far tier, when far publishing is
-     * disabled, or when T2 already has the entry.
-     */
-    void publishFar(const CacheKey &key);
-
-    /**
-     * Add @p delta to this cache's counters. The sharded backend
-     * collects each shard child's counter delta (the child's cache is
-     * a fork-time copy, so its counters die with it) and feeds them
-     * back through here, making stats() reflect the whole fleet.
-     */
-    void absorbStats(const CacheStats &delta);
-
-    /**
-     * Packed-trace tier: serve a previously captured trace so warm
-     * reruns skip capture too. Probes the T0 pinned-trace memo first
-     * (malloc-free: the pinned copy is cloned mmap-to-mmap), then the
-     * local `.swtp` tier, then the far tier (checksummed and
-     * key-verified everywhere; any mismatch degrades to a miss). On
-     * the Nth hit the trace is pinned into T0 up to the byte budget
-     * (setRamTraceBudget). The entry carries the trace's MixStats
-     * counter snapshot so a warm hit does not have to decode the whole
-     * trace just to recount it.
+     * Packed-trace tier: serve a previously captured trace from the
+     * local `.swtp` file so warm reruns skip capture too (checksummed
+     * and key-verified; any mismatch degrades to a miss). The entry
+     * carries the trace's MixStats counter snapshot so a warm hit does
+     * not have to decode the whole trace just to recount it.
      */
     bool lookupTrace(const TraceKey &key, trace::PackedTrace *out,
                      trace::MixStats *mix);
     void storeTrace(const TraceKey &key, const trace::PackedTrace &t,
                     const trace::MixStats &mix);
 
-    /** Byte budget for the T0 pinned-trace memo (0 = unbounded). */
-    void setRamTraceBudget(uint64_t bytes);
-
-    /**
-     * Publish @p key's packed trace to the far tier: copy the T1
-     * `.swtp` if present, else serialize @p t (may be null: then a
-     * trace with no T1 copy is simply not published). No-op without a
-     * far tier, when the far tier already holds it, or when far
-     * publishing is disabled.
-     */
-    void publishTraceFar(const TraceKey &key,
-                         const trace::PackedTrace *t,
-                         const trace::MixStats &mix);
-
     const std::string &diskDir() const { return diskDir_; }
-    const std::string &farDir() const { return farDir_; }
     uint64_t maxDiskBytes() const { return maxDiskBytes_; }
 
     /** Bytes currently held by the on-disk tier (.swr + .swtp). */
     uint64_t diskBytes() const;
-
-    /** Current decayed hotness of a key hash (tests/introspection). */
-    uint32_t hotness(uint64_t key_hash) const;
-
-    /**
-     * Deterministic text snapshot of where every entry lives: one
-     * `<stem> <kind> mem=<0|1> disk=<0|1> far=<0|1> hot=<n>` line per
-     * known entry, sorted by stem. Durable placement only — T0
-     * *pinned-trace* state is deliberately excluded because pinning
-     * depends on the byte budget, and the placement of entries must be
-     * identical across budget values (the determinism matrix in
-     * tests/test_cache_tiers.cc diffs this string across backend ×
-     * jobs × shards × budget).
-     */
-    std::string placementMap() const;
 
     CacheStats stats() const;
     void resetStats();
@@ -357,32 +207,6 @@ class ResultCache
     struct KeyHash
     {
         size_t operator()(const CacheKey &k) const { return k.hash(); }
-    };
-
-    /** Hotness-table entry: decayed access count plus first-lookup
-     *  sequence number (the insertion-order eviction tiebreak). */
-    struct Hot
-    {
-        uint32_t count = 0;
-        uint64_t seq = 0;
-    };
-
-    /** One T0 pinned-trace slot. Fixed-size POD + mmap-backed trace:
-     *  pin/unpin never touches malloc. Beyond the key hash the slot
-     *  echoes the TraceKey's fields (kernel name in a fixed buffer —
-     *  longer names simply never pin) so a hash collision degrades to
-     *  a miss, mirroring the on-disk key-echo validation. */
-    struct RamTrace
-    {
-        uint64_t keyHash = 0;
-        uint64_t bytes = 0;
-        trace::PackedTrace trace;
-        trace::MixStats mix;
-        char kernel[64] = {0};
-        int32_t impl = 0;
-        int32_t vecBits = 0;
-        uint64_t optionsFp = 0;
-        bool used = false;
     };
 
     /** Disk-tier lookup outcome: Corrupt means the entry's bytes are
@@ -394,40 +218,17 @@ class ResultCache
         Corrupt,
     };
 
-    /** Bump @p key_hash's hotness (assigning its first-lookup seq on
-     *  first sight) and run the periodic decay. Called with mu_ held,
-     *  on counted lookups only. @return the post-bump count. */
-    uint32_t noteLookupLocked(uint64_t key_hash);
-    uint32_t hotnessLocked(uint64_t key_hash) const;
-    uint64_t seqLocked(uint64_t key_hash) const;
+    /** Record @p key_hash's first-lookup sequence number (the eviction
+     *  order) on first sight. Only a capped cache keeps the table.
+     *  Called with mu_ held. */
+    void noteLookupLocked(uint64_t key_hash);
 
-    DiskLoad loadDisk(const std::string &dir, const CacheKey &key,
-                      core::KernelRun *out);
+    DiskLoad loadDisk(const CacheKey &key, core::KernelRun *out);
     /** @return bytes written (0 on failure), for the pruner's total. */
-    uint64_t storeDisk(const std::string &dir, const CacheKey &key,
-                       const core::KernelRun &run);
+    uint64_t storeDisk(const CacheKey &key, const core::KernelRun &run);
 
-    DiskLoad loadTraceFrom(const std::string &dir, const TraceKey &key,
-                           trace::PackedTrace *out,
-                           trace::MixStats *mix);
-
-    /** Copy one validated entry file between tiers (write-then-rename;
-     *  the promotion/publish primitive). @return bytes copied, 0 on
-     *  failure. */
-    uint64_t copyEntry(const std::string &src_dir,
-                       const std::string &dst_dir,
-                       const std::string &name);
-
-    /** Copy `name` from T1 to T2 if T2 lacks it; bumps farStores.
-     *  Shared tail of publishFar()/publishTraceFar(). */
-    void publishFarFile(const std::string &name);
-
-    /**
-     * Existence probe for `<dir>/<stem><ext>` (stack-built path +
-     * ::stat on POSIX).
-     */
-    static bool entryExists(const std::string &dir, uint64_t stem_hash,
-                            const char *ext);
+    DiskLoad loadTrace(const TraceKey &key, trace::PackedTrace *out,
+                       trace::MixStats *mix);
 
     /** Rename a damaged entry to `<path>.quarantined` so it is never
      *  re-served (still budget-counted and prunable); counts it only
@@ -435,40 +236,23 @@ class ResultCache
     void quarantineEntry(const std::string &path);
 
     /**
-     * Enforce maxDiskBytes_ by deleting the coldest entries (hotness,
-     * then first-lookup order, then name); no-op uncapped. Keeps a
-     * running byte total so the common under-cap store costs one
-     * counter update, not a directory walk; the walk (and the resync
-     * with entries other processes wrote) happens only when the
-     * running total crosses the cap.
+     * Enforce maxDiskBytes_ by deleting entries in (first-lookup
+     * order, name) order; no-op uncapped. Keeps a running byte total
+     * so the common under-cap store costs one counter update, not a
+     * directory walk; the walk (and the resync with entries other
+     * processes wrote) happens only when the running total crosses
+     * the cap.
      */
     void pruneDisk(uint64_t stored_bytes);
 
-    /** Enforce ramMaxBytes_ on the result memo, cold-first. Called
-     *  with mu_ held after insertions. */
-    void pruneRamLocked();
-
-    /** Pin @p t into a T0 slot if it earned it (post-bump hotness >=
-     *  kPinHits), evicting strictly-colder pins to fit the byte
-     *  budget. Called with mu_ held; mmap-only (no malloc). */
-    void maybePinTraceLocked(const TraceKey &key, uint32_t hot_count,
-                             const trace::PackedTrace &t,
-                             const trace::MixStats &mix);
-
     std::string diskDir_;
-    std::string farDir_;
     uint64_t maxDiskBytes_ = 0;
-    uint64_t ramMaxBytes_ = 0;
-    uint64_t ramTraceBudget_ = 0;
     mutable std::mutex mu_;
     uint64_t diskTotal_ = 0;      //!< running on-disk byte estimate
     bool diskTotalKnown_ = false; //!< diskTotal_ seeded by a full scan
     std::unordered_map<CacheKey, core::KernelRun, KeyHash> map_;
-    uint64_t ramBytesEst_ = 0;    //!< result-memo byte estimate
-    std::unordered_map<uint64_t, Hot> hot_;
-    uint64_t lookupSeq_ = 0;      //!< counted lookups so far
-    RamTrace ramTraces_[kRamTraceSlots];
-    uint64_t ramTraceBytes_ = 0;  //!< pinned bytes across the slots
+    /** Key hash -> first-lookup sequence (1-based); capped caches only. */
+    std::unordered_map<uint64_t, uint64_t> firstLookup_;
     CacheStats stats_;
 };
 

@@ -192,26 +192,10 @@ cacheSummary(const CacheStats &stats)
                     " disk hits, " + std::to_string(stats.misses) +
                     " misses, " + std::to_string(stats.stores) +
                     " stored";
-    if (stats.traceHits || stats.traceStores || stats.traceRamHits) {
+    if (stats.traceHits || stats.traceStores)
         s += "; traces: " + std::to_string(stats.traceHits) +
              " disk hits, " + std::to_string(stats.traceStores) +
              " stored";
-        if (stats.traceRamHits)
-            s += ", " + std::to_string(stats.traceRamHits) + " RAM hits";
-    }
-    if (stats.farHits || stats.farMisses || stats.farStores)
-        s += "; far: " + std::to_string(stats.farHits) + " hits, " +
-             std::to_string(stats.farMisses) + " misses, " +
-             std::to_string(stats.farStores) + " stored";
-    if (stats.farPromotions || stats.ramPromotions || stats.ramDemotions)
-        s += "; tiering: " + std::to_string(stats.farPromotions) +
-             " promoted to disk, " + std::to_string(stats.ramPromotions) +
-             " pinned in RAM, " + std::to_string(stats.ramDemotions) +
-             " RAM demotions";
-    if (stats.staleClaimsSwept || stats.recoveredUnits)
-        s += "; sharded: " + std::to_string(stats.staleClaimsSwept) +
-             " stale claims swept, " +
-             std::to_string(stats.recoveredUnits) + " units recovered";
     if (stats.corruptEntriesQuarantined)
         s += "; " + std::to_string(stats.corruptEntriesQuarantined) +
              " corrupt entries quarantined";

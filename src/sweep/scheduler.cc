@@ -1,20 +1,13 @@
 #include "sweep/scheduler.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <filesystem>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define SWAN_POOL_HAVE_PTHREAD 1
-#endif
 
 #include "core/registry.hh"
 #include "obs/telemetry.hh"
@@ -59,18 +52,6 @@ groupKeyFor(const SweepPoint &p)
             fingerprint(p.options)};
 }
 
-/** Process-unique token for private directory names. */
-uint64_t
-processToken()
-{
-#ifdef SWAN_POOL_HAVE_PTHREAD
-    return uint64_t(::getpid());
-#else
-    static const int anchor = 0;
-    return uint64_t(reinterpret_cast<uintptr_t>(&anchor));
-#endif
-}
-
 /**
  * Capture encoders for the workers of one sweep: a worker takes one
  * for each capture and gives it back, so at most `jobs` exist and each
@@ -102,7 +83,107 @@ class BuilderPool
     std::vector<std::unique_ptr<trace::PackedTrace::Builder>> idle_;
 };
 
+/** One worker's mutex-guarded queue of unit indices. */
+struct WorkQueue
+{
+    std::mutex mu;
+    std::deque<size_t> units; //!< guarded by mu
+
+    bool
+    popFront(size_t *out)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (units.empty())
+            return false;
+        *out = units.front();
+        units.pop_front();
+        return true;
+    }
+
+    bool
+    stealBack(size_t *out)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (units.empty())
+            return false;
+        *out = units.back();
+        units.pop_back();
+        return true;
+    }
+
+    size_t
+    size()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return units.size();
+    }
+};
+
+/** Run every unit of @p queues, starting from queue @p self and then
+ *  stealing from the back of the fullest other queue. */
+void
+drain(const std::function<void(size_t)> &fn,
+      std::vector<WorkQueue> &queues, size_t self)
+{
+    size_t u = 0;
+    while (true) {
+        if (queues[self].popFront(&u)) {
+            fn(u);
+            continue;
+        }
+        size_t victim = queues.size();
+        size_t most = 0;
+        for (size_t v = 0; v < queues.size(); ++v) {
+            if (v == self)
+                continue;
+            const size_t n = queues[v].size();
+            if (n > most) {
+                most = n;
+                victim = v;
+            }
+        }
+        // No queue had work at scan time: nobody pushes mid-run, so
+        // emptiness is stable once observed.
+        if (victim == queues.size())
+            return;
+        // Lost the steal race: rescan, another victim may still hold
+        // work.
+        if (queues[victim].stealBack(&u))
+            fn(u);
+    }
+}
+
 } // namespace
+
+void
+forEachUnit(size_t units, int jobs, const std::function<void(size_t)> &fn)
+{
+    const size_t workers =
+        std::min<size_t>(size_t(std::max(1, jobs)), units);
+    if (workers <= 1) {
+        for (size_t u = 0; u < units; ++u)
+            fn(u);
+        return;
+    }
+    // Deal units round-robin so initial shares interleave the grid
+    // (adjacent groups of one kernel tend to cost the same).
+    std::vector<WorkQueue> queues(workers);
+    for (size_t u = 0; u < units; ++u)
+        queues[u % workers].units.push_back(u);
+
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    try {
+        for (size_t t = 0; t < workers; ++t)
+            threads.emplace_back([&fn, &queues, t] { drain(fn, queues, t); });
+    } catch (...) {
+        for (std::thread &w : threads)
+            w.join();
+        throw;
+    }
+    for (std::thread &w : threads)
+        w.join();
+}
 
 std::string
 describe(const RowOrigin &origin)
@@ -112,9 +193,6 @@ describe(const RowOrigin &origin)
         return "cache";
       case RowOrigin::Kind::Computed:
         return "computed";
-      case RowOrigin::Kind::Shard:
-        return origin.shard < 0 ? "shard ?"
-                                : "shard " + std::to_string(origin.shard);
     }
     return "unknown";
 }
@@ -199,37 +277,28 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
 
     // Row streaming (cfg.onRow): completion states per point, emitted
     // strictly in point-index order behind an advancing frontier.
-    // Workers and the parent merge mark points done as units land.
-    // Encoding: 0 pending, 1 cache hit, 2 computed in-process, 3+k
-    // merged from shard k-1 (3 = unknown shard). Empty = no streaming.
+    // Workers mark points done as units land. Encoding: 0 pending,
+    // 1 cache hit, 2 computed. Empty = no streaming.
     std::mutex rowMu;
-    std::vector<uint16_t> rowState;
+    std::vector<uint8_t> rowState;
     size_t rowNext = 0;
     // Emit every ready row at the frontier; call with rowMu held.
     const auto rowFlush = [&]() {
         while (rowNext < rowState.size() && rowState[rowNext]) {
-            const uint16_t s = rowState[rowNext];
             RowOrigin o;
             o.total = rowState.size();
             o.done = rowNext + 1;
-            if (s == 1) {
-                o.kind = RowOrigin::Kind::Cache;
-            } else if (s == 2) {
-                o.kind = RowOrigin::Kind::Computed;
-            } else {
-                o.kind = RowOrigin::Kind::Shard;
-                o.shard = int(s) - 4;
-            }
+            o.kind = rowState[rowNext] == 1 ? RowOrigin::Kind::Cache
+                                            : RowOrigin::Kind::Computed;
             cfg.onRow(results[rowNext], o);
             ++rowNext;
         }
     };
-    const auto rowComplete = [&](size_t idx, uint16_t st) {
-        // Shard children skip: their rows surface in the parent merge.
-        if (rowState.empty() || obs::Telemetry::shard() >= 0)
+    const auto rowComplete = [&](size_t idx) {
+        if (rowState.empty())
             return;
         std::lock_guard<std::mutex> lock(rowMu);
-        rowState[idx] = st;
+        rowState[idx] = 2;
         rowFlush();
     };
     if (cfg.onRow) {
@@ -240,13 +309,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         std::lock_guard<std::mutex> lock(rowMu);
         rowFlush();
     }
-
-    // Where executed results are stored. Normally the configured
-    // cache; a sharded run re-points this at a cache that owns a disk
-    // tier (the session's, or a private per-run directory) so shard
-    // children can publish results the parent merges — resolved in
-    // the backend block below, before any unit runs.
-    ResultCache *storeCache = cfg.cache;
 
     // Acquire one group's packed trace on the executing worker: the
     // trace tier when warm, else make -> capture -> finish -> store.
@@ -286,9 +348,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         if (cfg.cache) {
             obs::Span store(obs::Phase::TraceStore, t.byteSize());
             cfg.cache->storeTrace(tkey, t, *mix);
-            // A no-op without a far tier, and in shard children (the
-            // parent merge publishes their traces; see serveGroup).
-            cfg.cache->publishTraceFar(tkey, &t, *mix);
         }
         return t;
     };
@@ -353,206 +412,28 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
                     r.run = core::KernelRun{};
                     r.run.mix = mix;
                     r.run.sim = std::move(sims[j]);
-                    const CacheKey key = keyFor(p, cfg.warmupPasses);
-                    if (storeCache)
-                        storeCache->store(key, r.run);
-                    // A private shard-transport cache substitutes for
-                    // a memory-only session cache; keep the session
-                    // tier warm too (dead weight in a shard child,
-                    // which takes its copy of the session map to
-                    // _exit, but exactly what a threaded run would
-                    // have stored in the parent and in parent-side
-                    // recovery).
-                    if (cfg.cache && cfg.cache != storeCache)
-                        cfg.cache->store(key, r.run);
+                    if (cfg.cache)
+                        cfg.cache->store(keyFor(p, cfg.warmupPasses),
+                                         r.run);
                 }
             }
             for (size_t idx : g.points)
-                rowComplete(idx, 2);
+                rowComplete(idx);
         } catch (const std::exception &e) {
             recordError(e.what());
         }
     };
 
-    // Resolve the backend: shards > 1 upgrades the default threaded
-    // backend to the sharded one; explicit Inline/Sharded always win.
-    Backend kind = cfg.backend;
-    if (kind == Backend::Threaded && cfg.shards > 1)
-        kind = Backend::Sharded;
-
-    // A sharded run needs a disk tier the shard children and the
-    // parent share. When the session cache is memory-only (or absent),
-    // a private per-run directory substitutes — it exists purely as
-    // the shard transport and is deleted after the merge.
-    std::optional<ResultCache> privateShare;
-    std::string privateShareDir;
-    if (kind == Backend::Sharded &&
-        (!storeCache || storeCache->diskDir().empty())) {
-        static std::atomic<uint64_t> shardRunSeq{0};
-        std::error_code ec;
-        const auto tmp = std::filesystem::temp_directory_path(ec);
-        if (!ec) {
-            privateShareDir =
-                (tmp / ("swan-shards-" + std::to_string(processToken()) +
-                        "-" + std::to_string(shardRunSeq++)))
-                    .string();
-            // The transport cache inherits the session's far tier so
-            // the parent-side merge can still sync T2 (shard children
-            // never publish far; see ResultCache::setFarPublishEnabled).
-            privateShare.emplace(privateShareDir, uint64_t(0),
-                                 cfg.cache ? cfg.cache->farDir()
-                                           : std::string());
-        }
-        if (privateShare && !privateShare->diskDir().empty()) {
-            storeCache = &*privateShare;
-        } else {
-            // Unusable temp directory: stay in-process (results are
-            // byte-identical either way; only the fan-out is lost).
-            kind = Backend::Threaded;
-            privateShare.reset();
-        }
-    }
-
-    // Stamp the run's shape on the active telemetry instance, now
-    // that the backend choice is final.
+    // Stamp the run's shape on the active telemetry instance.
     if (obs::Telemetry *t = obs::Telemetry::active()) {
         obs::RunMeta m;
         m.points = points.size();
         m.units = groups.size();
         m.jobs = jobs;
-        m.shards = kind == Backend::Sharded
-                       ? std::clamp(cfg.shards, 1,
-                                    ShardedBackend::kMaxShards)
-                       : 1;
-        const std::string_view nm = name(kind);
-        std::snprintf(m.backend, sizeof m.backend, "%.*s",
-                      int(nm.size()), nm.data());
         t->setMeta(m);
     }
 
-    // Content-stable unit identities for cross-process claims: a hash
-    // of every point key the unit produces (kernel, impl, width,
-    // config and options fingerprints, warm-up) — equal between any
-    // two processes executing the same grid, distinct between grids.
-    // Precomputed once (sharded runs only): the backend reads tokens
-    // per unit per process, and the keys hash strings.
-    std::vector<uint64_t> unitTokens;
-    if (kind == Backend::Sharded) {
-        unitTokens.resize(groups.size());
-        for (size_t gi = 0; gi < groups.size(); ++gi) {
-            uint64_t h = kFnv64Seed;
-            for (size_t idx : groups[gi].points)
-                h = fnvMix64(h,
-                             keyFor(points[idx], cfg.warmupPasses).hash());
-            unitTokens[gi] = h;
-        }
-    }
-    const auto unitToken = [&](size_t gi) { return unitTokens[gi]; };
-
-    // Parent-side merge of one unit from the shared disk tier —
-    // quietly: these are results this very run computed in a shard
-    // child, not cache traffic (the children's own counters are
-    // absorbed separately). False when any point is missing; the
-    // backend then re-executes the whole unit via executeGroup, which
-    // overwrites every point and stores what the dead shard could not.
-    const auto serveGroup = [&](size_t gi, int shard) -> bool {
-        const TraceGroup &g = groups[gi];
-        std::vector<CacheKey> keys;
-        keys.reserve(g.points.size());
-        // Probe every point before the commit loop below, so a
-        // partially published unit never half-stores into the session
-        // tier before recovery re-executes (and re-stores) all of it.
-        for (size_t idx : g.points) {
-            keys.push_back(keyFor(points[idx], cfg.warmupPasses));
-            if (!storeCache->lookupQuiet(keys.back(), &results[idx].run))
-                return false;
-        }
-        for (size_t j = 0; j < g.points.size(); ++j) {
-            SweepResult &r = results[g.points[j]];
-            r.cacheHit = false; // simulated by this run, in a child
-            if (cfg.cache && cfg.cache != storeCache)
-                cfg.cache->store(keys[j], r.run);
-            // One far writer per entry: children publish to the shared
-            // T1 only, the parent syncs T2 here, once per merged unit.
-            storeCache->publishFar(keys[j]);
-        }
-        if (cfg.cache)
-            cfg.cache->publishTraceFar(traceKeyFor(points[g.points.front()]),
-                                       nullptr, trace::MixStats());
-        for (size_t idx : g.points)
-            rowComplete(idx, uint16_t(4 + std::max(shard, -1)));
-        return true;
-    };
-
-    {
-        using Exec = decltype(executeGroup);
-        using Token = decltype(unitToken);
-        using Serve = decltype(serveGroup);
-        struct Hooks
-        {
-            const Exec *exec;
-            const Token *token;
-            const Serve *serve;
-        } hooks{&executeGroup, &unitToken, &serveGroup};
-
-        BackendJob job;
-        job.units = groups.size();
-        job.jobs = jobs;
-        job.arg = &hooks;
-        job.execute = [](void *a, size_t u) {
-            (*static_cast<const Hooks *>(a)->exec)(u);
-        };
-        job.token = [](void *a, size_t u) {
-            return (*static_cast<const Hooks *>(a)->token)(u);
-        };
-        job.serve = [](void *a, size_t u, int shard) {
-            return (*static_cast<const Hooks *>(a)->serve)(u, shard);
-        };
-        job.shareCache = kind == Backend::Sharded ? storeCache : nullptr;
-
-        switch (kind) {
-          case Backend::Inline: {
-            InlineBackend backend;
-            backend.run(job);
-            break;
-          }
-          case Backend::Sharded: {
-            ShardedBackend backend(cfg.shards, cfg.shardTimeoutMs,
-                                   cfg.shardBatch);
-            backend.run(job);
-            break;
-          }
-          case Backend::Threaded:
-          default: {
-            ThreadedBackend backend;
-            backend.run(job);
-            break;
-          }
-        }
-    }
-    if (privateShare) {
-        // The sharded-run bookkeeping counters (stale-claim sweeps,
-        // crash-recovered units) landed in the private transport
-        // cache; carry them over so the session's stats see them
-        // before the transport directory disappears.
-        if (cfg.cache) {
-            const CacheStats ps = privateShare->stats();
-            if (ps.staleClaimsSwept || ps.recoveredUnits ||
-                ps.corruptEntriesQuarantined || ps.farStores) {
-                CacheStats d;
-                d.staleClaimsSwept = ps.staleClaimsSwept;
-                d.recoveredUnits = ps.recoveredUnits;
-                d.corruptEntriesQuarantined = ps.corruptEntriesQuarantined;
-                // Far publishes the parent merge made through the
-                // transport cache belong to the session's story too.
-                d.farStores = ps.farStores;
-                cfg.cache->absorbStats(d);
-            }
-        }
-        privateShare.reset();
-        std::error_code ec;
-        std::filesystem::remove_all(privateShareDir, ec);
-    }
+    forEachUnit(groups.size(), jobs, executeGroup);
     if (!firstError.empty())
         throw std::runtime_error("sweep worker failed: " + firstError);
     return results;

@@ -3,22 +3,20 @@
  * Parallel sweep executor. Cache lookups run first, serially in
  * point-index order; the pending points are then grouped by capture
  * identity (kernel, impl, width, working set), and each group is one
- * work unit handed to a pluggable ExecutionBackend (sweep/backend.hh)
- * — serial inline, the default work-stealing thread pool, or a fleet
- * of forked shard processes claiming units in the on-disk cache tier.
- * The worker running a unit acquires its packed trace (the trace tier
- * when warm, else make -> capture -> finish -> store), replays it
- * through all of the group's core configurations in a single traversal
+ * work unit run on an in-process work-stealing pool of `jobs` threads
+ * (forEachUnit; jobs == 1 runs on the calling thread). The worker
+ * running a unit acquires its packed trace (the trace tier when warm,
+ * else make -> capture -> finish -> store), replays it through all of
+ * the group's core configurations in a single traversal
  * (sim::simulateTraceMany), publishes the results and drops the trace,
  * so at most `jobs` traces are live at once.
  *
  * Captured traces carry canonical addresses (trace/canonical.hh), so a
  * unit's results are a pure function of its points, whatever thread,
  * process or heap history captures them; results land in a pre-sized
- * vector at their point index, so every backend, every `--jobs` value
- * and every shard count produces byte-equal reports. The same
- * determinism (seeded inputs, trace-driven model) is what makes the
- * result cache sound.
+ * vector at their point index, so every `--jobs` value and every
+ * process produces byte-equal reports. The same determinism (seeded
+ * inputs, trace-driven model) is what makes the result cache sound.
  */
 
 #ifndef SWAN_SWEEP_SCHEDULER_HH
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "core/runner.hh"
-#include "sweep/backend.hh"
 #include "sweep/cache.hh"
 #include "sweep/grid.hh"
 
@@ -52,18 +49,15 @@ struct RowOrigin
     enum class Kind
     {
         Cache,    //!< served by the result cache, not simulated
-        Computed, //!< simulated in this process (any in-process
-                  //!< backend, or sharded crash recovery)
-        Shard,    //!< simulated by shard `shard`, merged by the parent
+        Computed, //!< simulated by this sweep
     };
 
     Kind kind = Kind::Computed;
-    int shard = -1;  //!< valid for Kind::Shard; -1 = unknown shard
     size_t done = 0; //!< rows emitted so far, this one included
     size_t total = 0;
 };
 
-/** "cache", "computed" or "shard N", for tickers and logs. */
+/** "cache" or "computed", for tickers and logs. */
 std::string describe(const RowOrigin &origin);
 
 /**
@@ -77,63 +71,34 @@ using RowCallback =
 struct SchedulerConfig
 {
     /** Worker threads; <= 0 means std::thread::hardware_concurrency.
-     *  In a sharded run this is the pool width of every shard child
-     *  (and of the parent's recovery pool). */
+     *  Results are byte-identical for any value. */
     int jobs = 1;
-    /**
-     * Execution backend for the work units (sweep/backend.hh).
-     * Threaded is upgraded to Sharded when shards > 1; an explicit
-     * Inline or Sharded choice always wins. Results are byte-identical
-     * whatever the choice.
-     */
-    Backend backend = Backend::Threaded;
-    /**
-     * Worker processes for the sharded backend; 1 = in-process. A
-     * sharded run claims work units in the on-disk cache tier (the
-     * configured cache directory, or a private per-run directory when
-     * the cache is memory-only). Session policy, not an engine env
-     * var: SWAN_SHARDS is read by swan::Session::envDefaults, never
-     * here.
-     */
-    int shards = 1;
     /** Optional result cache shared across sweeps / benches. */
     ResultCache *cache = nullptr;
     /** Cache warm-up passes fed to the core model (paper Section 4.3). */
     int warmupPasses = 1;
     /**
-     * Sharded-backend deadline watchdog: if no shard makes publish/
-     * claim progress (observed as changes in the share directory) for
-     * this many milliseconds, the remaining shard children are killed
-     * and their claimed units recovered through the ordinary
-     * bit-identical crash-recovery path. 0 = disabled (wait forever).
-     * Session policy: SWAN_SHARD_TIMEOUT_MS is read by
-     * swan::Session::envDefaults, never here.
-     */
-    uint64_t shardTimeoutMs = 0;
-
-    /**
-     * Units per sharded claim: consecutive work units share one claim
-     * lockfile (token = FNV fold of the member unit tokens),
-     * amortizing the filesystem round-trip when units are small.
-     * 1 = one claim per unit (default; preserves claim filenames).
-     * Results are byte-identical for any value. Session policy:
-     * SWAN_SHARD_BATCH is read by swan::Session::envDefaults, never
-     * here.
-     */
-    int shardBatch = 1;
-
-    /**
      * Stream every finished row, strictly in point-index order, as
-     * results land (cache hits first, then each computed/merged point
+     * results land (cache hits first, then each computed point
      * as soon as every lower-indexed point is done). Invoked from
-     * worker threads (or the parent merge thread in a sharded run,
-     * which is also where shard-computed rows surface — never from a
-     * shard child), serialized by the scheduler: implementations need
-     * no locking of their own but must not block for long.
+     * worker threads, serialized by the scheduler: implementations
+     * need no locking of their own but must not block for long.
      * Null = no streaming (zero overhead).
      */
     RowCallback onRow;
 };
+
+/**
+ * Run @p fn(u) for every u in [0, @p units) on a work-stealing pool of
+ * min(@p jobs, units) threads that lives for this call: units are
+ * dealt round-robin to per-worker queues (adjacent groups of one
+ * kernel tend to cost the same), workers pop their own front and steal
+ * from the back of the fullest other queue. With one worker, @p fn
+ * runs serially on the calling thread. @p fn must be thread-safe and
+ * must not throw.
+ */
+void forEachUnit(size_t units, int jobs,
+                 const std::function<void(size_t)> &fn);
 
 /**
  * Execute every point. Closes kernel registration (see Registry) before

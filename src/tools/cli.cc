@@ -54,37 +54,21 @@ sweep grid flags (cartesian product of the axes):
                                scenario[:key=value]... specs, e.g.
                                "none,dram-spike:seed=7:intensity=16";
                                identical seeds give byte-identical
-                               results on every backend, and faulted
+                               results at any --jobs, and faulted
                                points never share cache entries with
                                clean ones. --faults=help prints the
                                scenario catalog (docs/faults.md)
   --jobs N                     worker threads (default 1; same output
-                               for any N)
-  --shards N                   worker processes (default 1): fork N
-                               shards that claim work units in the
-                               on-disk cache tier and merge results
-                               deterministically — byte-identical
-                               output for any shards x jobs combo
-                               (accepted by sweep and compare)
-  --shard-timeout-ms N         sharded-run watchdog: kill shards that
-                               make no observable progress for N ms
-                               and recover their units bit-identically
-                               (0 = wait forever, the default)
-  --shard-batch N              units per sharded claim (default 1):
-                               N consecutive work units share one
-                               atomic claim lockfile, amortizing the
-                               filesystem round-trip on grids with
-                               many small units; byte-identical
-                               output for any value
+                               for any N; 0 = all cores)
   --format table|csv|jsonl     report format (default table)
   --progress                   stream one line per finished row to
                                stderr, in deterministic point order,
-                               tagged with its origin (cache, computed,
-                               or shard N)
+                               tagged with its origin (cache or
+                               computed)
   --metrics-out STEM           collect swan::obs telemetry over the
                                sweep and write STEM.report.json
-                               (per-phase times, throughput, cache and
-                               shard traffic) plus STEM.trace.jsonl
+                               (per-phase times, throughput, cache
+                               traffic) plus STEM.trace.jsonl
                                (Chrome trace events — open in Perfetto
                                or chrome://tracing); results stay
                                byte-identical (docs/observability.md)
@@ -92,27 +76,15 @@ sweep grid flags (cartesian product of the axes):
                                (also honors SWAN_SWEEP_CACHE_DIR);
                                hit/miss counters go to stderr
   --cache-max-bytes N          size cap for the on-disk cache: after
-                               every store, the coldest entries (by
-                               lookup hotness, then first-lookup order
-                               — never file mtimes) are pruned until
-                               the cache fits (0 = unbounded)
-  --cache-far-dir DIR          far/shared cache tier probed after the
-                               local one; hits promote into
-                               --cache-dir, stores write through
-                               (also honors SWAN_CACHE_FAR_DIR;
-                               docs/cache.md)
+                               every store, entries are pruned in
+                               (first-lookup order, file name) order
+                               — never by file mtime — until the
+                               cache fits (0 = unbounded; docs/cache.md)
 
 environment (defaults only; explicit flags win — docs/api.md):
   SWAN_JOBS                    default worker threads for sweeps
-  SWAN_SHARDS                  default worker processes for sweeps
-  SWAN_SHARD_TIMEOUT_MS        default --shard-timeout-ms
-  SWAN_SHARD_BATCH             default --shard-batch
   SWAN_SWEEP_CACHE_DIR         default --cache-dir
   SWAN_SWEEP_CACHE_MAX_BYTES   default --cache-max-bytes
-  SWAN_CACHE_FAR_DIR           default --cache-far-dir
-  SWAN_CACHE_RAM_BYTES         byte cap for the in-RAM result memo;
-                               coldest results drop first, results
-                               byte-identical for any value
   SWAN_METRICS                 default --metrics-out stem
 )";
 
@@ -154,17 +126,10 @@ struct Parsed
     std::vector<std::string> faultList;
     bool faultsHelp = false;
     bool wider = false;
-    uint64_t shardTimeoutMs = 0;
-    bool shardTimeoutSet = false;
     int jobs = 1;
     bool jobsSet = false;
-    int shards = 1;
-    bool shardsSet = false;
-    int shardBatch = 1;
-    bool shardBatchSet = false;
     std::string format = "table";
     std::string cacheDir;
-    std::string cacheFarDir;
     uint64_t cacheMaxBytes = 0;
     bool cacheMaxBytesSet = false;
     bool progress = false;
@@ -312,15 +277,6 @@ parse(const std::vector<std::string> &args, std::ostream &err)
                     return std::nullopt;
                 }
             }
-        } else if (a == "--shard-timeout-ms") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            if (!sweep::parseByteCount(v->c_str(), &p.shardTimeoutMs)) {
-                err << "swan: --shard-timeout-ms must be a number >= 0\n";
-                return std::nullopt;
-            }
-            p.shardTimeoutSet = true;
         } else if (a == "--wider") {
             p.wider = true;
         } else if (a == "--jobs") {
@@ -335,30 +291,6 @@ parse(const std::vector<std::string> &args, std::ostream &err)
                 return std::nullopt;
             }
             p.jobsSet = true;
-        } else if (a == "--shards") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            p.shards = int(std::strtol(v->c_str(), &end, 10));
-            if (end == v->c_str() || *end != '\0' || p.shards < 1 ||
-                p.shards > sweep::ShardedBackend::kMaxShards) {
-                err << "swan: --shards must be a number in [1, "
-                    << sweep::ShardedBackend::kMaxShards << "]\n";
-                return std::nullopt;
-            }
-            p.shardsSet = true;
-        } else if (a == "--shard-batch") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            p.shardBatch = int(std::strtol(v->c_str(), &end, 10));
-            if (end == v->c_str() || *end != '\0' || p.shardBatch < 1) {
-                err << "swan: --shard-batch must be a number >= 1\n";
-                return std::nullopt;
-            }
-            p.shardBatchSet = true;
         } else if (a == "--cache-max-bytes") {
             const auto *v = value();
             if (!v)
@@ -384,11 +316,6 @@ parse(const std::vector<std::string> &args, std::ostream &err)
             if (!v)
                 return std::nullopt;
             p.cacheDir = *v;
-        } else if (a == "--cache-far-dir") {
-            const auto *v = value();
-            if (!v)
-                return std::nullopt;
-            p.cacheFarDir = *v;
         } else if (a == "--progress") {
             p.progress = true;
         } else if (a == "--metrics-out") {
@@ -426,18 +353,10 @@ sessionFor(const Parsed &p)
     SessionOptions opts = Session::envDefaults();
     if (p.jobsSet)
         opts.jobs = p.jobs == 0 ? -1 : p.jobs; // 0 = all cores
-    if (p.shardsSet)
-        opts.shards = p.shards;
-    if (p.shardTimeoutSet)
-        opts.shardTimeoutMs = p.shardTimeoutMs;
-    if (p.shardBatchSet)
-        opts.shardBatch = p.shardBatch;
     if (!p.faultList.empty())
         opts.faults = p.faultList;
     if (!p.cacheDir.empty())
         opts.cacheDir = p.cacheDir;
-    if (!p.cacheFarDir.empty())
-        opts.farCacheDir = p.cacheFarDir;
     if (p.cacheMaxBytesSet)
         opts.cacheMaxBytes = p.cacheMaxBytes;
     if (!p.metricsOut.empty())

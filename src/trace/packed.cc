@@ -83,20 +83,6 @@ PackedTrace::Buf::grow(size_t used, size_t need)
     *this = std::move(b);
 }
 
-PackedTrace
-PackedTrace::clone() const
-{
-    PackedTrace c;
-    c.buf_ = Buf(buf_.size());
-    if (buf_.size())
-        std::memcpy(c.buf_.data(), buf_.data(), buf_.size());
-    c.count_ = count_;
-    c.mainLen_ = mainLen_;
-    c.multiLen_ = multiLen_;
-    c.descCount_ = descCount_;
-    return c;
-}
-
 // --- Builder ---------------------------------------------------------
 
 PackedTrace::Builder::Builder()

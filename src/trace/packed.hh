@@ -392,22 +392,12 @@ class PackedTrace
     void deliver(Sink &sink) const;
 
     /**
-     * Deep copy. A fresh anonymous-mmap buffer plus a memcpy — no
-     * malloc on POSIX, so the sweep cache's T0 pinned-trace memo can
-     * pin and serve traces without perturbing the capture heap (the
-     * class is otherwise move-only precisely to keep copies explicit).
-     */
-    PackedTrace clone() const;
-
-    /**
      * One decoded record's identity fields. The shape fields live in
      * the descriptor side table (see descCount()/expandDesc()); the
      * fused replay engine keeps a per-descriptor prototype instead of
-     * re-expanding them per instruction. Capture-phase layout pin: the
-     * fused driver's decode-batch buffers are sized by this struct
-     * (include/swan/internal/layout.hh).
+     * re-expanding them per instruction.
      */
-    struct SWAN_CAPTURE_TYPE Decoded
+    struct Decoded
     {
         uint64_t id;
         uint64_t dep0, dep1, dep2;
@@ -415,6 +405,11 @@ class PackedTrace
         uint64_t addr2;
         uint32_t desc;      //!< descriptor index, < descCount()
     };
+    // The fused driver's L1-resident decode buffer holds 128 of these
+    // and the batch kernels' store layout assumes this footprint.
+    static_assert(sizeof(Decoded) == 56,
+                  "Decoded grew: the fused replay's decode buffers are "
+                  "sized for 56-byte records");
 
     /**
      * Which batch-decode kernel family Cursor::nextBatch runs. Every

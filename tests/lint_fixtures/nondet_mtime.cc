@@ -3,7 +3,7 @@
 // tests/test_lint.cc. File timestamps move with the wall clock,
 // `cp -p`/rsync, and filesystem granularity, so an mtime-keyed
 // eviction policy decides differently run to run; swan orders
-// eviction by lookup hotness and first-lookup sequence instead.
+// eviction by first-lookup sequence and file name instead.
 #include <filesystem>
 #include <utility>
 #include <vector>

@@ -3,8 +3,8 @@
  * Tests of the swan::Session façade (swan/session.hh): option
  * precedence (explicit > environment > built-in default), environment
  * parsing robustness, the scheduler configuration a session implies,
- * and the on-disk cache size cap (deterministic coldest-first pruning
- * by lookup hotness — see docs/cache.md) the session plumbs through to
+ * and the on-disk cache size cap (deterministic pruning in first-lookup
+ * order — see docs/cache.md) the session plumbs through to
  * sweep::ResultCache.
  */
 
@@ -86,14 +86,11 @@ keyNamed(const std::string &kernel)
 TEST(ApiSession, BuiltinDefaultsIgnoreEnvironment)
 {
     EnvGuard jobs("SWAN_JOBS", "7");
-    EnvGuard shards("SWAN_SHARDS", "3");
     EnvGuard dir("SWAN_SWEEP_CACHE_DIR", "/tmp/swan-should-not-be-used");
     EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "123456");
 
     Session s; // default ctor: library defaults, no environment
     EXPECT_EQ(s.options().jobs, 1);
-    EXPECT_EQ(s.options().shards, 1);
-    EXPECT_EQ(s.options().backend, sweep::Backend::Threaded);
     EXPECT_EQ(s.options().warmupPasses, 1);
     EXPECT_TRUE(s.options().cacheDir.empty());
     EXPECT_EQ(s.options().cacheMaxBytes, 0u);
@@ -103,13 +100,11 @@ TEST(ApiSession, EnvDefaultsReadTheEnvironment)
 {
     const auto dir = tempDir("env");
     EnvGuard jobs("SWAN_JOBS", "7");
-    EnvGuard shards("SWAN_SHARDS", "3");
     EnvGuard dirg("SWAN_SWEEP_CACHE_DIR", dir.c_str());
     EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "123456");
 
     const SessionOptions o = Session::envDefaults();
     EXPECT_EQ(o.jobs, 7);
-    EXPECT_EQ(o.shards, 3);
     EXPECT_EQ(o.cacheDir, dir);
     EXPECT_EQ(o.cacheMaxBytes, 123456u);
 
@@ -119,14 +114,14 @@ TEST(ApiSession, EnvDefaultsReadTheEnvironment)
 TEST(ApiSession, ExplicitOverridesBeatEnvironment)
 {
     EnvGuard jobs("SWAN_JOBS", "7");
-    EnvGuard shards("SWAN_SHARDS", "6");
+    EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "123456");
 
     // The fromEnv() pattern: environment as defaults, explicit wins.
     const SessionOptions o = Session::envDefaults()
                                  .withJobs(3)
-                                 .withShards(2);
+                                 .withCacheMaxBytes(64);
     EXPECT_EQ(o.jobs, 3);
-    EXPECT_EQ(o.shards, 2);
+    EXPECT_EQ(o.cacheMaxBytes, 64u);
 
     Session s(o);
     EXPECT_EQ(s.options().jobs, 3);
@@ -135,31 +130,21 @@ TEST(ApiSession, ExplicitOverridesBeatEnvironment)
 TEST(ApiSession, UnparsableEnvironmentFallsBackToDefaults)
 {
     EnvGuard jobs("SWAN_JOBS", "abc");
-    EnvGuard shards("SWAN_SHARDS", "many");
     EnvGuard cap("SWAN_SWEEP_CACHE_MAX_BYTES", "-5x");
 
     const SessionOptions o = Session::envDefaults();
     EXPECT_EQ(o.jobs, 1);
-    EXPECT_EQ(o.shards, 1);
     EXPECT_EQ(o.cacheMaxBytes, 0u);
 
     EnvGuard negative("SWAN_JOBS", "-4");
     EXPECT_EQ(Session::envDefaults().jobs, 1);
-    EnvGuard negShards("SWAN_SHARDS", "-2");
-    EXPECT_EQ(Session::envDefaults().shards, 1);
 }
 
 TEST(ApiSession, SchedulerConfigReflectsOptions)
 {
-    Session s(SessionOptions{}
-                  .withJobs(5)
-                  .withShards(4)
-                  .withBackend(sweep::Backend::Inline)
-                  .withWarmupPasses(2));
+    Session s(SessionOptions{}.withJobs(5).withWarmupPasses(2));
     const sweep::SchedulerConfig sc = s.schedulerConfig();
     EXPECT_EQ(sc.jobs, 5);
-    EXPECT_EQ(sc.shards, 4);
-    EXPECT_EQ(sc.backend, sweep::Backend::Inline);
     EXPECT_EQ(sc.warmupPasses, 2);
     EXPECT_EQ(sc.cache, &s.cache());
 }
@@ -174,7 +159,7 @@ TEST(ApiSession, CacheDirAndCapArePlumbedThrough)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ApiSession, DiskCapPrunesColdestEntriesFirst)
+TEST(ApiSession, DiskCapPrunesInFirstLookupOrder)
 {
     namespace fs = std::filesystem;
     const auto dir = tempDir("prune");
@@ -192,23 +177,22 @@ TEST(ApiSession, DiskCapPrunesColdestEntriesFirst)
     const uint64_t cap = 2 * entryBytes + entryBytes / 2;
     sweep::ResultCache cache(dir, cap);
     core::KernelRun got;
-    // The scheduler's shape: every point is looked up before its store,
-    // so each key carries a hotness record. K/a is looked up twice —
-    // the hottest; K/b and K/c tie at one lookup each, and K/b saw its
-    // first lookup earlier.
-    EXPECT_FALSE(cache.lookup(keyNamed("K/a"), &got));
+    // The scheduler's shape: every point is looked up before its
+    // store, so each key carries a first-lookup sequence number. A
+    // repeat lookup (K/a's hit) does not move it.
     EXPECT_FALSE(cache.lookup(keyNamed("K/b"), &got));
+    EXPECT_FALSE(cache.lookup(keyNamed("K/a"), &got));
     cache.store(keyNamed("K/a"), runWithCycles(11));
     cache.store(keyNamed("K/b"), runWithCycles(22));
     EXPECT_EQ(cache.stats().evictions, 0u);
-    EXPECT_TRUE(cache.lookup(keyNamed("K/a"), &got));
+    EXPECT_TRUE(cache.lookup(keyNamed("K/b"), &got));
 
     EXPECT_FALSE(cache.lookup(keyNamed("K/c"), &got));
     cache.store(keyNamed("K/c"), runWithCycles(33));
 
-    // Coldest-first, tie on first-lookup order: K/b goes. Mtimes never
-    // enter the decision — the timestamps a copy or a slow filesystem
-    // clock would assign cannot reorder eviction.
+    // First looked up, first out: K/b goes. Mtimes never enter the
+    // decision — the timestamps a copy or a slow filesystem clock
+    // would assign cannot reorder eviction.
     EXPECT_LE(cache.diskBytes(), cap);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_TRUE(
@@ -239,9 +223,9 @@ TEST(ApiSession, DiskHitHeatsEntryAgainstEviction)
     writer.store(keyNamed("K/b"), runWithCycles(22));
 
     // A fresh cache (empty memory tier, no lookup history): a disk hit
-    // on K/a is demand evidence and must protect it, exactly as the
-    // old LRU's stamp refresh did — but recorded in the lookup
-    // sequence, not in the file's mtime.
+    // on K/a gives it a lookup sequence number, so the never-looked-up
+    // K/b goes first — recorded in the lookup sequence, not in the
+    // file's mtime.
     sweep::ResultCache reader(dir, cap);
     core::KernelRun got;
     ASSERT_TRUE(reader.lookup(keyNamed("K/a"), &got));

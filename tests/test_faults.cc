@@ -3,7 +3,7 @@
  * Fault-injection tests (sim/faults.hh): FaultSpec parsing, the
  * catalog-embedding error path, fingerprint separation, determinism of
  * an injected scenario (same seed, same bytes — including across every
- * execution backend), the disabled-spec clean-path bit-identity, and
+ * job count), the disabled-spec clean-path bit-identity, and
  * the cache-tier separation of faulted vs clean points.
  */
 
@@ -24,10 +24,7 @@
 #include "sweep/scheduler.hh"
 #include "trace/packed.hh"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#define SWAN_TEST_HAVE_FORK 1
-#endif
 
 using namespace swan;
 using trace::Instr;
@@ -357,8 +354,8 @@ TEST(FaultCache, FaultedAndCleanPointsNeverShareEntries)
 namespace
 {
 
-/** Scratch disk cache primed with traces so every backend run replays
- *  identical pinned instruction streams (the test_sweep_backend
+/** Scratch disk cache primed with traces so every run replays
+ *  identical stored instruction streams (the test_sweep_backend
  *  protocol), with a fault axis on the grid. */
 class FaultBackendFixture : public ::testing::Test
 {
@@ -397,14 +394,12 @@ class FaultBackendFixture : public ::testing::Test
     }
 
     std::string
-    runWith(sweep::Backend backend, int jobs, int shards)
+    runWith(int jobs)
     {
         dropResults();
         sweep::ResultCache cache(dir_.string());
         sweep::SchedulerConfig sc;
-        sc.backend = backend;
         sc.jobs = jobs;
-        sc.shards = shards;
         sc.cache = &cache;
         auto results = sweep::runSweep(points_, sc);
         EXPECT_TRUE(sweep::anyFaulted(results));
@@ -421,7 +416,7 @@ class FaultBackendFixture : public ::testing::Test
 
 TEST_F(FaultBackendFixture, SameSeedIsByteIdenticalAcrossBackends)
 {
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
+    const std::string reference = runWith(1);
     ASSERT_FALSE(reference.empty());
 
     // The fault column is present and carries the scenario label.
@@ -429,12 +424,6 @@ TEST_F(FaultBackendFixture, SameSeedIsByteIdenticalAcrossBackends)
     EXPECT_NE(reference.find("\"fault\":\"dram-spike"), std::string::npos);
     EXPECT_NE(reference.find("\"fault\":\"firstfault"), std::string::npos);
 
-    for (int jobs : {1, 4})
-        EXPECT_EQ(reference, runWith(sweep::Backend::Threaded, jobs, 1))
-            << "threaded jobs=" << jobs;
-#ifdef SWAN_TEST_HAVE_FORK
-    for (int shards : {2, 3})
-        EXPECT_EQ(reference, runWith(sweep::Backend::Sharded, 2, shards))
-            << "sharded shards=" << shards;
-#endif
+    for (int jobs : {2, 4, 8})
+        EXPECT_EQ(reference, runWith(jobs)) << "jobs=" << jobs;
 }

@@ -1,39 +1,32 @@
 /**
  * @file
- * Tests of the execution-backend seam (sweep/backend.hh): byte-identity
- * of emitter output across {inline, threaded, sharded} x jobs x shards,
- * shard-crash recovery (a killed shard's claimed units are re-executed
- * by the parent), stale-claim cleanup, and the fleet-wide cache-stats
- * aggregation.
+ * Tests of the sweep engine's in-process work-stealing pool
+ * (sweep::forEachUnit) and of what rides on it: every unit runs exactly
+ * once at any job count, and emitter output is byte-identical across
+ * jobs.
  *
  * Like test_sweep_scheduler.cc's jobs matrix, the compared sweeps
  * replay traces pinned on disk (primed once with a different
  * warm-up-pass count so the result cache never hits and every run
  * actually schedules and simulates): with the instruction streams
- * fixed, any cross-backend difference can only come from the
- * execution layer itself — claiming, forking, merging, recovery.
- * Fresh-capture identity across backends is additionally enforced
- * end-to-end by the CI smoke (separate `swan sweep --shards N`
- * processes).
+ * fixed, any cross-jobs difference can only come from the execution
+ * layer itself. Fresh-capture identity across jobs and processes is
+ * additionally enforced end-to-end by the CI smokes.
  */
 
-#include <cstdlib>
+#include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "sweep/backend.hh"
 #include "sweep/cache.hh"
 #include "sweep/emit.hh"
 #include "sweep/scheduler.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#define SWAN_TEST_HAVE_FORK 1
-#endif
 
 using namespace swan;
 
@@ -60,9 +53,9 @@ render(const std::vector<sweep::SweepResult> &results)
     return os.str();
 }
 
-/** Scratch cache directory, primed so every backend run replays the
- *  same pinned traces and simulates every point. */
-class BackendFixture : public ::testing::Test
+/** Scratch cache directory, primed so every run replays the same
+ *  stored traces and simulates every point. */
+class PoolFixture : public ::testing::Test
 {
   protected:
     void
@@ -72,14 +65,13 @@ class BackendFixture : public ::testing::Test
         points_ = sweep::expand(smallGrid(), &err);
         ASSERT_FALSE(points_.empty()) << err;
         dir_ = std::filesystem::temp_directory_path() /
-               ("swan_backend_" + std::to_string(::getpid()));
+               ("swan_pool_" + std::to_string(::getpid()));
         std::filesystem::remove_all(dir_);
         sweep::ResultCache prime(dir_.string());
         sweep::SchedulerConfig sc;
         sc.cache = &prime;
         sc.warmupPasses = 2; // prime traces, never the default results
         sweep::runSweep(points_, sc);
-        dropResults();
     }
 
     void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -95,22 +87,16 @@ class BackendFixture : public ::testing::Test
     }
 
     std::string
-    runWith(sweep::Backend backend, int jobs, int shards,
-            sweep::CacheStats *stats = nullptr, int shardBatch = 1)
+    runWith(int jobs)
     {
         dropResults();
         sweep::ResultCache cache(dir_.string());
         sweep::SchedulerConfig sc;
-        sc.backend = backend;
         sc.jobs = jobs;
-        sc.shards = shards;
-        sc.shardBatch = shardBatch;
         sc.cache = &cache;
         const auto out = render(sweep::runSweep(points_, sc));
-        EXPECT_EQ(cache.stats().traceHits, 6u)
-            << name(backend) << " jobs=" << jobs << " shards=" << shards;
-        if (stats)
-            *stats = cache.stats();
+        EXPECT_EQ(cache.stats().traceHits, 6u) << "jobs=" << jobs;
+        EXPECT_EQ(cache.stats().stores, points_.size()) << "jobs=" << jobs;
         return out;
     }
 
@@ -120,166 +106,35 @@ class BackendFixture : public ::testing::Test
 
 } // namespace
 
-TEST(SweepBackend, NamesRoundTrip)
+TEST(SweepPool, EveryUnitRunsExactlyOnce)
 {
-    for (auto b : {sweep::Backend::Threaded, sweep::Backend::Inline,
-                   sweep::Backend::Sharded}) {
-        sweep::Backend parsed;
-        ASSERT_TRUE(
-            sweep::backendForName(std::string(sweep::name(b)), &parsed));
-        EXPECT_EQ(parsed, b);
+    for (int jobs : {0, 1, 2, 3, 8, 64}) {
+        for (size_t units : {size_t(0), size_t(1), size_t(7), size_t(100)}) {
+            std::vector<std::atomic<int>> runs(units);
+            sweep::forEachUnit(units, jobs,
+                               [&](size_t u) { runs[u].fetch_add(1); });
+            for (size_t u = 0; u < units; ++u)
+                EXPECT_EQ(runs[u].load(), 1)
+                    << "jobs=" << jobs << " units=" << units << " u=" << u;
+        }
     }
-    sweep::Backend b;
-    EXPECT_FALSE(sweep::backendForName("fancy", &b));
 }
 
-TEST_F(BackendFixture, MatrixProducesByteIdenticalOutput)
+TEST(SweepPool, OneJobRunsOnTheCallingThread)
 {
-    const std::string reference =
-        runWith(sweep::Backend::Inline, 1, 1);
+    const auto caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    sweep::forEachUnit(5, 1, [&](size_t u) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(u);
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(PoolFixture, MatrixProducesByteIdenticalOutput)
+{
+    const std::string reference = runWith(1);
     ASSERT_FALSE(reference.empty());
-
-    for (int jobs : {1, 4})
-        EXPECT_EQ(reference, runWith(sweep::Backend::Threaded, jobs, 1))
-            << "threaded jobs=" << jobs;
-
-#ifdef SWAN_TEST_HAVE_FORK
-    for (int shards : {1, 2, 3})
-        for (int jobs : {1, 4})
-            EXPECT_EQ(reference,
-                      runWith(sweep::Backend::Sharded, jobs, shards))
-                << "sharded shards=" << shards << " jobs=" << jobs;
-
-    // shards > 1 upgrades the default threaded backend.
-    EXPECT_EQ(reference, runWith(sweep::Backend::Threaded, 2, 2));
-#endif
+    for (int jobs : {2, 4, 8})
+        EXPECT_EQ(reference, runWith(jobs)) << "jobs=" << jobs;
 }
-
-#ifdef SWAN_TEST_HAVE_FORK
-
-TEST_F(BackendFixture, ShardedAggregatesFleetCacheStats)
-{
-    sweep::CacheStats stats;
-    const auto out = runWith(sweep::Backend::Sharded, 2, 2, &stats);
-    ASSERT_FALSE(out.empty());
-    // A cold sharded run must report exactly what a threaded run
-    // reports: one miss (parent, phase 1a) and one store (shard
-    // children, absorbed back) per point.
-    EXPECT_EQ(stats.misses, points_.size());
-    EXPECT_EQ(stats.stores, points_.size());
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.diskHits, 0u);
-}
-
-TEST_F(BackendFixture, CrashedShardUnitsAreReExecutedByTheParent)
-{
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
-
-    // Shard 0 claims one unit and dies without publishing anything —
-    // exactly a mid-simulation crash. The parent must detect the
-    // claimed-but-missing unit at merge time and re-execute it from
-    // the traces it still holds, byte-identically.
-    ASSERT_EQ(::setenv("SWAN_SHARD_TEST_CRASH", "0", 1), 0);
-    sweep::CacheStats stats;
-    const auto out = runWith(sweep::Backend::Sharded, 2, 2, &stats);
-    ASSERT_EQ(::unsetenv("SWAN_SHARD_TEST_CRASH"), 0);
-
-    EXPECT_EQ(reference, out);
-    // Every point was still simulated and stored exactly once
-    // (surviving shard + parent recovery).
-    EXPECT_EQ(stats.stores, points_.size());
-}
-
-TEST_F(BackendFixture, BatchedClaimsProduceByteIdenticalOutput)
-{
-    // Claim batching changes lockfile granularity only, never results:
-    // every {batch x shards x jobs} combination must render the exact
-    // bytes of the serial inline run — including a batch larger than
-    // the whole grid (one claim for everything) and one that divides
-    // the 6 units unevenly.
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
-    ASSERT_FALSE(reference.empty());
-    for (int batch : {2, 4, 100})
-        for (int shards : {2, 3})
-            EXPECT_EQ(reference, runWith(sweep::Backend::Sharded, 2,
-                                         shards, nullptr, batch))
-                << "batch=" << batch << " shards=" << shards;
-}
-
-TEST_F(BackendFixture, CrashedShardLosesItsWholeBatch)
-{
-    // With batch = 3, the crash-hook shard claims one whole batch and
-    // dies: the parent must detect every member unit missing and
-    // re-execute all of them, byte-identically.
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
-    ASSERT_EQ(::setenv("SWAN_SHARD_TEST_CRASH", "0", 1), 0);
-    sweep::CacheStats stats;
-    const auto out = runWith(sweep::Backend::Sharded, 1, 2, &stats, 3);
-    ASSERT_EQ(::unsetenv("SWAN_SHARD_TEST_CRASH"), 0);
-
-    EXPECT_EQ(reference, out);
-    // The dead shard owned a full 3-unit batch; the surviving shard
-    // and the parent's recovery still store every point exactly once.
-    EXPECT_GE(stats.recoveredUnits, 3u);
-    EXPECT_EQ(stats.stores, points_.size());
-}
-
-TEST_F(BackendFixture, HungShardIsKilledByWatchdogAndRecovered)
-{
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
-
-    // Shard 0 claims one unit and then hangs forever — a wedged NFS
-    // mount or a livelocked child, not a crash. With a deadline
-    // configured, the parent's watchdog must notice the share
-    // directory has stopped changing, kill the fleet, and recover the
-    // claimed-but-unpublished unit bit-identically (the kill lands in
-    // exactly the crashed-shard merge path).
-    ASSERT_EQ(::setenv("SWAN_SHARD_TEST_HANG", "0", 1), 0);
-    dropResults();
-    sweep::ResultCache cache(dir_.string());
-    sweep::SchedulerConfig sc;
-    sc.backend = sweep::Backend::Sharded;
-    sc.jobs = 1;
-    sc.shards = 2;
-    // TSan slows a healthy shard by an order of magnitude; a deadline
-    // tuned for native builds would kill one that is merely slow, not
-    // hung, and the premature kill can race that shard's publish. The
-    // seeded hang is eternal, so a longer deadline only costs wall
-    // time.
-#if defined(__SANITIZE_THREAD__)
-    sc.shardTimeoutMs = 10000;
-#else
-    sc.shardTimeoutMs = 1500;
-#endif
-    sc.cache = &cache;
-    const auto out = render(sweep::runSweep(points_, sc));
-    ASSERT_EQ(::unsetenv("SWAN_SHARD_TEST_HANG"), 0);
-
-    EXPECT_EQ(reference, out);
-    EXPECT_GE(cache.stats().recoveredUnits, 1u);
-    // Every point still simulated and stored exactly once.
-    EXPECT_EQ(cache.stats().stores, points_.size());
-}
-
-TEST_F(BackendFixture, StaleClaimsAreSweptLiveOnesKept)
-{
-    // A claim whose pid is long dead must be removed by the next
-    // sharded run; a claim owned by a live process (here: ourselves)
-    // must survive. Neither may affect results: a foreign live claim
-    // simply routes its unit through parent recovery.
-    const auto stale = dir_ / "c0123456789abcdef-00000000deadbeef.claim";
-    const auto live = dir_ / "cfedcba9876543210-00000000cafef00d.claim";
-    {
-        std::ofstream(stale) << "pid 999999999\n";
-        std::ofstream(live) << "pid " << ::getpid() << "\n";
-    }
-    const std::string reference = runWith(sweep::Backend::Inline, 1, 1);
-    const auto out = runWith(sweep::Backend::Sharded, 1, 2);
-
-    EXPECT_EQ(reference, out);
-    EXPECT_FALSE(std::filesystem::exists(stale));
-    EXPECT_TRUE(std::filesystem::exists(live));
-    std::filesystem::remove(live);
-}
-
-#endif // SWAN_TEST_HAVE_FORK

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "obs/telemetry.hh"
+#include "trace/checksum.hh"
 
 namespace swan::sweep
 {
@@ -352,14 +353,20 @@ ResultCache::resetStats()
 namespace
 {
 
-/** v2 on-disk packed-trace entry: magic, version, whole-blob FNV-1a
- *  checksum, key echo, mix counters, payload. The blob checksum covers
- *  everything after itself — the payload carries its own internal
- *  checksum, but the key echo and mix counters would otherwise be
- *  trusted unverified, and a flipped counter byte must quarantine the
- *  entry, not silently skew a warm run's instruction mix. */
+/** v3 on-disk packed-trace entry: a small prefix — magic, version,
+ *  tier checksum, key echo, mix counters, payload header — then the
+ *  payload body, the trace's own buffer. Every byte is checksummed
+ *  exactly once: the tier checksum covers everything after itself in
+ *  the prefix (so a flipped counter byte quarantines the entry instead
+ *  of skewing a warm run's instruction mix), and the payload header's
+ *  own checksum covers the body. An entry of an older version is a
+ *  miss, overwritten by the next store. */
 constexpr char kTraceMagic[4] = {'S', 'W', 'T', 'P'};
-constexpr uint32_t kTraceTierVersion = 2;
+constexpr uint32_t kTraceTierVersion = 3;
+
+/** Bytes before the region the tier checksum covers: magic, version
+ *  and the checksum itself. */
+constexpr size_t kTraceSumEnd = 4 + sizeof(uint32_t) + sizeof(uint64_t);
 
 template <typename T>
 void
@@ -368,46 +375,43 @@ appendRaw(std::string *out, T v)
     out->append(reinterpret_cast<const char *>(&v), sizeof v);
 }
 
+/** Copy a T out of @p buf at @p *at and advance past it; the caller
+ *  has sized @p buf. */
 template <typename T>
-bool
+void
 readRaw(const std::string &buf, size_t *at, T *v)
 {
-    if (buf.size() - *at < sizeof(T))
-        return false;
     std::memcpy(v, buf.data() + *at, sizeof(T));
     *at += sizeof(T);
-    return true;
 }
 
-/** Serialize one packed-trace entry into `<dir>/<stem>.swtp`
- *  (write-then-rename). @return bytes written, 0 on failure. */
+/** Write one packed-trace entry to `<dir>/<stem>.swtp` (write-then-
+ *  rename): the prefix built in memory, then the trace's buffer
+ *  straight from the trace. @return bytes written, 0 on failure. */
 uint64_t
-writeTraceBlob(const std::string &dir_s, const TraceKey &key,
-               const trace::PackedTrace &t, const trace::MixStats &mix)
+writeTraceEntry(const std::string &dir_s, const TraceKey &key,
+                const trace::PackedTrace &t, const trace::MixStats &mix)
 {
     const auto counters = mix.counters();
-    std::string blob;
-    blob.reserve(t.byteSize() + key.kernel.size() +
-                 counters.size() * sizeof(uint64_t) + 64);
-    blob.append(kTraceMagic, 4);
-    appendRaw(&blob, kTraceTierVersion);
-    const size_t sumAt = blob.size();
-    appendRaw(&blob, uint64_t(0)); // blob checksum, patched below
-    appendRaw(&blob, uint32_t(key.kernel.size()));
-    blob.append(key.kernel);
-    appendRaw(&blob, int32_t(key.impl));
-    appendRaw(&blob, int32_t(key.vecBits));
-    appendRaw(&blob, key.optionsFp);
-    appendRaw(&blob, uint32_t(counters.size()));
+    std::string prefix;
+    prefix.append(kTraceMagic, 4);
+    appendRaw(&prefix, kTraceTierVersion);
+    appendRaw(&prefix, uint64_t(0)); // tier checksum, patched below
+    appendRaw(&prefix, uint32_t(key.kernel.size()));
+    prefix.append(key.kernel);
+    appendRaw(&prefix, int32_t(key.impl));
+    appendRaw(&prefix, int32_t(key.vecBits));
+    appendRaw(&prefix, key.optionsFp);
+    appendRaw(&prefix, uint32_t(counters.size()));
     for (uint64_t v : counters)
-        appendRaw(&blob, v);
-    t.appendPayload(&blob);
-    {
-        Fnv blobSum;
-        blobSum.bytes(blob.data() + sumAt + sizeof(uint64_t),
-                      blob.size() - sumAt - sizeof(uint64_t));
-        std::memcpy(blob.data() + sumAt, &blobSum.h, sizeof blobSum.h);
-    }
+        appendRaw(&prefix, v);
+    const auto header = t.payloadHeader();
+    prefix.append(reinterpret_cast<const char *>(header.data()),
+                  header.size());
+    const uint64_t sum = trace::checksum64(prefix.data() + kTraceSumEnd,
+                                           prefix.size() - kTraceSumEnd);
+    std::memcpy(prefix.data() + kTraceSumEnd - sizeof sum, &sum,
+                sizeof sum);
 
     const auto dir = std::filesystem::path(dir_s);
     const auto path = dir / (key.hex() + ".swtp");
@@ -417,7 +421,9 @@ writeTraceBlob(const std::string &dir_s, const TraceKey &key,
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
             return 0;
-        os.write(blob.data(), std::streamsize(blob.size()));
+        os.write(prefix.data(), std::streamsize(prefix.size()));
+        os.write(reinterpret_cast<const char *>(t.payloadBody()),
+                 std::streamsize(t.byteSize()));
         if (!os)
             return 0;
     }
@@ -427,7 +433,7 @@ writeTraceBlob(const std::string &dir_s, const TraceKey &key,
         std::filesystem::remove(tmp, ec);
         return 0;
     }
-    return blob.size();
+    return prefix.size() + t.byteSize();
 }
 
 } // namespace
@@ -469,65 +475,102 @@ ResultCache::loadTrace(const TraceKey &key, trace::PackedTrace *out,
 {
     const auto path =
         std::filesystem::path(diskDir_) / (key.hex() + ".swtp");
-    // Single sized read: a trace blob can be tens of MB, so avoid the
-    // ostringstream route's extra full copies.
     std::error_code ec;
     const auto size = std::filesystem::file_size(path, ec);
     if (ec)
         return DiskLoad::Miss;
-    std::string buf(size, '\0');
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in || !in.read(buf.data(), std::streamsize(size)))
-            return DiskLoad::Miss; // unreadable: cannot judge the bytes
-    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return DiskLoad::Miss;
 
-    size_t at = 0;
+    // Sized reads bounded by the file size. Running past the end is
+    // truncation (corrupt); a failed read of bytes that are there is
+    // an I/O error, and such bytes cannot be judged (miss).
+    uint64_t left = size;
+    bool unreadable = false;
+    const auto take = [&](void *dst, size_t n) {
+        if (left < n)
+            return false;
+        if (!in.read(static_cast<char *>(dst), std::streamsize(n))) {
+            unreadable = true;
+            return false;
+        }
+        left -= n;
+        return true;
+    };
+    const auto damaged = [&] {
+        return unreadable ? DiskLoad::Miss : DiskLoad::Corrupt;
+    };
+
     char magic[4];
     uint32_t version = 0;
-    if (!readRaw(buf, &at, &magic) ||
-        std::memcmp(magic, kTraceMagic, 4) != 0 ||
-        !readRaw(buf, &at, &version) || version != kTraceTierVersion)
-        return DiskLoad::Corrupt;
-    // Whole-blob checksum: any damaged byte after this field — key
-    // echo, counters or payload — reads as corruption, never as data.
+    if (!take(magic, 4) || std::memcmp(magic, kTraceMagic, 4) != 0 ||
+        !take(&version, sizeof version))
+        return damaged();
+    // An older format is stale, not damaged: a miss, overwritten by
+    // the next store. An unknown version is corruption.
+    if (version != kTraceTierVersion)
+        return version != 0 && version < kTraceTierVersion ? DiskLoad::Miss
+                                                            : damaged();
     uint64_t want = 0;
-    if (!readRaw(buf, &at, &want))
-        return DiskLoad::Corrupt;
-    Fnv blobSum;
-    blobSum.bytes(buf.data() + at, buf.size() - at);
-    if (blobSum.h != want)
-        return DiskLoad::Corrupt;
-    // Key echo: a hash collision or stale rename must read as a miss.
+    if (!take(&want, sizeof want))
+        return damaged();
+
+    // The checksummed prefix, grown field by field: its two length
+    // fields are read (bounds-checked) before the checksum, nothing
+    // else is.
+    std::string prefix;
+    const auto extend = [&](size_t n) {
+        const size_t from = prefix.size();
+        if (left < n)
+            return false;
+        prefix.resize(from + n);
+        return take(prefix.data() + from, n);
+    };
     uint32_t kernelLen = 0;
-    if (!readRaw(buf, &at, &kernelLen) || buf.size() - at < kernelLen)
+    uint32_t mixLen = 0;
+    size_t at = 0;
+    if (!extend(sizeof kernelLen))
+        return damaged();
+    readRaw(prefix, &at, &kernelLen);
+    // The key echo's tail (impl, vecBits, optionsFp), then mixLen.
+    if (!extend(size_t(kernelLen) + 2 * sizeof(int32_t) + sizeof(uint64_t) +
+                sizeof mixLen))
+        return damaged();
+    at = prefix.size() - sizeof mixLen;
+    readRaw(prefix, &at, &mixLen);
+    if (!extend(size_t(mixLen) * sizeof(uint64_t) +
+                trace::PackedTrace::kPayloadHeaderBytes))
+        return damaged();
+    if (trace::checksum64(prefix.data(), prefix.size()) != want)
         return DiskLoad::Corrupt;
+
+    // Key echo: a hash collision or stale rename must read as a miss.
+    at = sizeof kernelLen;
     TraceKey seen;
-    seen.kernel.assign(buf.data() + at, kernelLen);
+    seen.kernel.assign(prefix.data() + at, kernelLen);
     at += kernelLen;
     int32_t impl = -1;
-    if (!readRaw(buf, &at, &impl) || !readRaw(buf, &at, &seen.vecBits) ||
-        !readRaw(buf, &at, &seen.optionsFp))
-        return DiskLoad::Corrupt;
+    readRaw(prefix, &at, &impl);
+    readRaw(prefix, &at, &seen.vecBits);
+    readRaw(prefix, &at, &seen.optionsFp);
     seen.impl = core::Impl(impl);
     if (!(seen == key))
         return DiskLoad::Miss;
     // Mix counter snapshot, so a warm hit skips a full trace decode.
-    uint32_t mixLen = 0;
-    if (!readRaw(buf, &at, &mixLen) ||
-        (buf.size() - at) / sizeof(uint64_t) < mixLen)
-        return DiskLoad::Corrupt;
+    at += sizeof(uint32_t);
     std::vector<uint64_t> counters(mixLen);
     for (auto &v : counters)
-        if (!readRaw(buf, &at, &v))
-            return DiskLoad::Corrupt;
+        readRaw(prefix, &at, &v);
     trace::MixStats seenMix;
     if (!trace::MixStats::fromCounters(counters, &seenMix))
         return DiskLoad::Corrupt;
-    if (!trace::PackedTrace::parsePayload(
-            reinterpret_cast<const uint8_t *>(buf.data()) + at,
-            buf.size() - at, out))
-        return DiskLoad::Corrupt;
+    // The body goes straight into the trace's buffer; the payload
+    // header's checksum verifies it there.
+    const auto *header =
+        reinterpret_cast<const uint8_t *>(prefix.data() + at);
+    if (!trace::PackedTrace::readPayload(header, in, left, out))
+        return in ? DiskLoad::Corrupt : DiskLoad::Miss;
     *mix = seenMix;
     return DiskLoad::Hit;
 }
@@ -538,7 +581,7 @@ ResultCache::storeTrace(const TraceKey &key, const trace::PackedTrace &t,
 {
     if (diskDir_.empty())
         return;
-    const uint64_t wrote = writeTraceBlob(diskDir_, key, t, mix);
+    const uint64_t wrote = writeTraceEntry(diskDir_, key, t, mix);
     if (!wrote)
         return;
     {

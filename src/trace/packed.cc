@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <istream>
 
+#include "trace/checksum.hh"
 #include "trace/recorder.hh"
 #include "trace/stats.hh"
 
@@ -13,25 +15,6 @@
 
 namespace swan::trace
 {
-
-namespace
-{
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnv1a(uint64_t h, const void *data, size_t n)
-{
-    const auto *b = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= b[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-} // namespace
 
 // --- Buf ---------------------------------------------------------------
 
@@ -328,93 +311,109 @@ struct PayloadHeader
     uint64_t multiLen;
     uint32_t descCount;
     uint32_t descSize; //!< sizeof(Desc) at write time (layout guard)
-    uint64_t checksum; //!< FNV-1a over the body bytes
+    uint64_t checksum; //!< checksum64 over the body bytes
 };
-
-} // namespace
-
-namespace
-{
-
-/** Checksum covering the header fields (checksum itself excluded)
- *  and the body, so a corrupted `count` is rejected too. */
-uint64_t
-payloadChecksum(const PayloadHeader &h, const uint8_t *body,
-                size_t body_len)
-{
-    uint64_t c = kFnvOffset;
-    c = fnv1a(c, &h.count, sizeof h.count);
-    c = fnv1a(c, &h.mainLen, sizeof h.mainLen);
-    c = fnv1a(c, &h.multiLen, sizeof h.multiLen);
-    c = fnv1a(c, &h.descCount, sizeof h.descCount);
-    c = fnv1a(c, &h.descSize, sizeof h.descSize);
-    return fnv1a(c, body, body_len);
-}
+static_assert(sizeof(PayloadHeader) == PackedTrace::kPayloadHeaderBytes);
 
 PayloadHeader
-headerFor(uint64_t count, uint64_t main_len, uint64_t multi_len,
-          uint32_t desc_count, const uint8_t *body, size_t body_len,
-          uint32_t desc_size)
+headerAt(const uint8_t *p)
 {
-    PayloadHeader h{};
-    h.count = count;
-    h.mainLen = main_len;
-    h.multiLen = multi_len;
-    h.descCount = desc_count;
-    h.descSize = desc_size;
-    h.checksum = payloadChecksum(h, body, body_len);
+    PayloadHeader h;
+    std::memcpy(&h, p, sizeof h);
     return h;
 }
 
 } // namespace
 
+std::array<uint8_t, PackedTrace::kPayloadHeaderBytes>
+PackedTrace::payloadHeader() const
+{
+    PayloadHeader h{};
+    h.count = count_;
+    h.mainLen = mainLen_;
+    h.multiLen = multiLen_;
+    h.descCount = descCount_;
+    h.descSize = sizeof(Desc);
+    h.checksum = checksum64(buf_.data(), buf_.size());
+    std::array<uint8_t, kPayloadHeaderBytes> out;
+    std::memcpy(out.data(), &h, sizeof h);
+    return out;
+}
+
 void
 PackedTrace::appendPayload(std::string *out) const
 {
-    const PayloadHeader h =
-        headerFor(count_, mainLen_, multiLen_, descCount_, buf_.data(),
-                  buf_.size(), sizeof(Desc));
-    out->append(reinterpret_cast<const char *>(&h), sizeof h);
+    const auto h = payloadHeader();
+    out->append(reinterpret_cast<const char *>(h.data()), h.size());
     if (buf_.size())
         out->append(reinterpret_cast<const char *>(buf_.data()),
                     buf_.size());
 }
 
 bool
-PackedTrace::parsePayload(const uint8_t *data, size_t len,
-                          PackedTrace *out)
+PackedTrace::openPayload(const uint8_t *header, size_t body_len,
+                         PackedTrace *t)
 {
-    PayloadHeader h;
-    if (len < sizeof h)
-        return false;
-    std::memcpy(&h, data, sizeof h);
+    const PayloadHeader h = headerAt(header);
     if (h.descSize != sizeof(Desc))
         return false;
-    const size_t descBytes = size_t(h.descCount) * sizeof(Desc);
-    const size_t bodyLen = descBytes + h.mainLen + h.multiLen;
-    if (h.mainLen > len || h.multiLen > len || descBytes > len ||
-        len != sizeof h + bodyLen)
+    const uint64_t descBytes = uint64_t(h.descCount) * sizeof(Desc);
+    if (h.mainLen > body_len || h.multiLen > body_len ||
+        descBytes > body_len ||
+        body_len != descBytes + h.mainLen + h.multiLen)
         return false;
-    const uint8_t *body = data + sizeof h;
-    if (payloadChecksum(h, body, bodyLen) != h.checksum)
+    t->buf_ = Buf(body_len);
+    t->count_ = h.count;
+    t->mainLen_ = h.mainLen;
+    t->multiLen_ = h.multiLen;
+    t->descCount_ = h.descCount;
+    return true;
+}
+
+bool
+PackedTrace::sealPayload(const uint8_t *header, const PackedTrace &t)
+{
+    if (checksum64(t.buf_.data(), t.buf_.size()) != headerAt(header).checksum)
         return false;
-    // Validate every descriptor's enums once, so decoding never has to.
-    for (uint32_t i = 0; i < h.descCount; ++i) {
-        Desc d;
-        std::memcpy(&d, body + size_t(i) * sizeof(Desc), sizeof(Desc));
+    for (uint32_t i = 0; i < t.descCount_; ++i) {
+        const Desc &d = t.descs()[i];
         if (d.cls >= uint8_t(InstrClass::NumClasses) ||
             d.fu >= uint8_t(Fu::NumFus) ||
             d.stride >= uint8_t(StrideKind::NumKinds))
             return false;
     }
+    return true;
+}
+
+bool
+PackedTrace::parsePayload(const uint8_t *data, size_t len,
+                          PackedTrace *out)
+{
     PackedTrace t;
-    t.buf_ = Buf(bodyLen);
-    if (bodyLen)
-        std::memcpy(t.buf_.data(), body, bodyLen);
-    t.count_ = h.count;
-    t.mainLen_ = h.mainLen;
-    t.multiLen_ = h.multiLen;
-    t.descCount_ = h.descCount;
+    if (len < kPayloadHeaderBytes ||
+        !openPayload(data, len - kPayloadHeaderBytes, &t))
+        return false;
+    if (t.buf_.size())
+        std::memcpy(t.buf_.data(), data + kPayloadHeaderBytes,
+                    t.buf_.size());
+    if (!sealPayload(data, t))
+        return false;
+    *out = std::move(t);
+    return true;
+}
+
+bool
+PackedTrace::readPayload(const uint8_t *header, std::istream &in,
+                         size_t body_len, PackedTrace *out)
+{
+    PackedTrace t;
+    if (!openPayload(header, body_len, &t))
+        return false;
+    if (body_len && !in.read(reinterpret_cast<char *>(t.buf_.data()),
+                             std::streamsize(body_len)))
+        return false;
+    if (!sealPayload(header, t))
+        return false;
     *out = std::move(t);
     return true;
 }

@@ -6,8 +6,10 @@
  * emitters) and its corruption handling.
  */
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -231,6 +233,78 @@ TEST(SweepCache, FlippedResultEntryIsQuarantinedAndRecomputedIdentically)
     std::filesystem::remove_all(dir);
 }
 
+namespace
+{
+
+std::string
+readBytes(const std::filesystem::path &p)
+{
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::filesystem::path &p, const std::string &bytes)
+{
+    std::ofstream os(p, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), std::streamsize(bytes.size()));
+}
+
+/** Where each region of a v3 `.swtp` entry starts (docs/cache.md):
+ *  magic 4 | version 4 | tier checksum 8 | kernel length 4 | kernel |
+ *  impl 4 | vecBits 4 | optionsFp 8 | counter count 4 | counters |
+ *  payload header | payload body. */
+struct TraceEntryLayout
+{
+    size_t version = 4;
+    size_t keyEcho = 0;
+    size_t mixCounters = 0;
+    size_t payloadHeader = 0;
+    size_t body = 0;
+};
+
+TraceEntryLayout
+layoutOf(const std::string &bytes)
+{
+    TraceEntryLayout l;
+    uint32_t kernelLen = 0;
+    uint32_t mixLen = 0;
+    std::memcpy(&kernelLen, bytes.data() + 16, sizeof kernelLen);
+    l.keyEcho = 20;
+    const size_t mixLenAt = l.keyEcho + kernelLen + 16;
+    std::memcpy(&mixLen, bytes.data() + mixLenAt, sizeof mixLen);
+    l.mixCounters = mixLenAt + 4;
+    l.payloadHeader = l.mixCounters + size_t(mixLen) * 8;
+    l.body = l.payloadHeader + trace::PackedTrace::kPayloadHeaderBytes;
+    return l;
+}
+
+/** Run @p points through a fresh cache on @p dir; JSON-lines rows. */
+std::string
+sweepRows(const std::string &dir,
+          const std::vector<sweep::SweepPoint> &points,
+          sweep::CacheStats *stats)
+{
+    sweep::ResultCache cache(dir);
+    sweep::SchedulerConfig sc;
+    sc.cache = &cache;
+    std::ostringstream os;
+    sweep::emitResults(os, sweep::runSweep(points, sc),
+                       sweep::Format::JsonLines);
+    *stats = cache.stats();
+    return os.str();
+}
+
+void
+removeResults(const std::string &dir)
+{
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        if (e.path().extension() == ".swr")
+            std::filesystem::remove(e.path());
+}
+
+} // namespace
+
 TEST(SweepCache, CorruptTraceEntryIsQuarantinedAndRecaptured)
 {
     const auto dir = tempDir("badtrace");
@@ -238,60 +312,97 @@ TEST(SweepCache, CorruptTraceEntryIsQuarantinedAndRecaptured)
     auto points = sweep::expand(adlerSpec(), &err);
     ASSERT_EQ(points.size(), 1u) << err;
 
-    {
-        sweep::ResultCache cache(dir);
-        sweep::SchedulerConfig sc;
-        sc.cache = &cache;
-        sweep::runSweep(points, sc);
-        EXPECT_EQ(cache.stats().traceStores, 1u);
-    }
-    // Damage the packed trace and drop the stored result so the next
-    // run must reach for the trace tier.
+    sweep::CacheStats stats;
+    const std::string cold = sweepRows(dir, points, &stats);
+    EXPECT_EQ(stats.traceStores, 1u);
     const auto tpath = std::filesystem::path(dir) /
                        (sweep::traceKeyFor(points[0]).hex() + ".swtp");
+    const auto qpath = tpath.string() + ".quarantined";
     ASSERT_TRUE(std::filesystem::exists(tpath));
-    {
-        std::fstream f(tpath, std::ios::in | std::ios::out |
-                                  std::ios::binary);
-        f.seekg(0, std::ios::end);
-        const auto mid = std::streamoff(f.tellg()) / 2;
-        char c = 0;
-        f.seekg(mid);
-        f.get(c);
-        f.seekp(mid);
-        f.put(char(c ^ 0x40));
-    }
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        if (e.path().extension() == ".swr")
-            std::filesystem::remove(e.path());
+    const std::string good = readBytes(tpath);
+    const TraceEntryLayout l = layoutOf(good);
+    ASSERT_LT(l.body, good.size());
 
-    std::ostringstream recapture, warm;
-    {
-        sweep::ResultCache cache(dir);
-        sweep::SchedulerConfig sc;
-        sc.cache = &cache;
-        sweep::emitResults(recapture, sweep::runSweep(points, sc),
-                           sweep::Format::JsonLines);
+    // One damage site per region of the layout, each covered by one of
+    // the two checksums or by the length check.
+    const auto flip = [&](size_t at) {
+        std::string b = good;
+        b[at] = char(b[at] ^ 0x40);
+        return b;
+    };
+    const std::pair<const char *, std::string> damaged[] = {
+        {"key echo", flip(l.keyEcho)},
+        {"mix counter", flip(l.mixCounters)},
+        {"payload header", flip(l.payloadHeader)},
+        {"first body byte", flip(l.body)},
+        {"last body byte", flip(good.size() - 1)},
+        {"truncated by 1", good.substr(0, good.size() - 1)},
+        {"1 byte appended", good + '\0'},
+    };
+    for (const auto &[site, bytes] : damaged) {
+        SCOPED_TRACE(site);
+        // Damage the packed trace and drop the stored result so the
+        // next run must reach for the trace tier.
+        writeBytes(tpath, bytes);
+        std::filesystem::remove(qpath);
+        removeResults(dir);
+
         // The damaged trace degrades to a capture (not an abort), is
-        // quarantined, and a fresh trace is stored in its place.
-        EXPECT_EQ(cache.stats().traceHits, 0u);
-        EXPECT_EQ(cache.stats().traceMisses, 1u);
-        EXPECT_EQ(cache.stats().traceStores, 1u);
-        EXPECT_EQ(cache.stats().corruptEntriesQuarantined, 1u);
+        // quarantined, and a fresh, identical trace takes its place.
+        EXPECT_EQ(sweepRows(dir, points, &stats), cold);
+        EXPECT_EQ(stats.traceHits, 0u);
+        EXPECT_EQ(stats.traceMisses, 1u);
+        EXPECT_EQ(stats.traceStores, 1u);
+        EXPECT_EQ(stats.corruptEntriesQuarantined, 1u);
+        EXPECT_TRUE(std::filesystem::exists(qpath));
+        EXPECT_EQ(readBytes(tpath), good);
+
+        // The re-stored result serves a warm run byte-for-byte.
+        EXPECT_EQ(sweepRows(dir, points, &stats), cold);
+        EXPECT_EQ(stats.diskHits, 1u);
+        EXPECT_EQ(stats.corruptEntriesQuarantined, 0u);
     }
-    EXPECT_TRUE(
-        std::filesystem::exists(tpath.string() + ".quarantined"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepCache, StaleVersionTraceEntryIsAMissAndOverwritten)
+{
+    const auto dir = tempDir("staletrace");
+    std::string err;
+    auto points = sweep::expand(adlerSpec(), &err);
+    ASSERT_EQ(points.size(), 1u) << err;
+
+    sweep::CacheStats stats;
+    sweepRows(dir, points, &stats);
+    const auto tkey = sweep::traceKeyFor(points[0]);
+    const auto tpath = std::filesystem::path(dir) / (tkey.hex() + ".swtp");
+    const std::string good = readBytes(tpath);
+
+    // An entry stamped with an older format version is stale, not
+    // damaged: a plain miss that stays in place, uncounted.
+    std::string stale = good;
+    const uint32_t v2 = 2;
+    std::memcpy(stale.data() + layoutOf(good).version, &v2, sizeof v2);
+    writeBytes(tpath, stale);
     {
-        // The re-stored trace and result serve a warm run byte-for-byte.
         sweep::ResultCache cache(dir);
-        sweep::SchedulerConfig sc;
-        sc.cache = &cache;
-        sweep::emitResults(warm, sweep::runSweep(points, sc),
-                           sweep::Format::JsonLines);
-        EXPECT_EQ(cache.stats().diskHits, 1u);
+        trace::PackedTrace t;
+        trace::MixStats mix;
+        EXPECT_FALSE(cache.lookupTrace(tkey, &t, &mix));
+        EXPECT_EQ(cache.stats().traceMisses, 1u);
         EXPECT_EQ(cache.stats().corruptEntriesQuarantined, 0u);
     }
-    EXPECT_EQ(recapture.str(), warm.str());
+    EXPECT_EQ(readBytes(tpath), stale);
+
+    // The next sweep that needs the trace captures it and overwrites
+    // the stale entry; nothing is renamed aside.
+    removeResults(dir);
+    sweepRows(dir, points, &stats);
+    EXPECT_EQ(stats.traceMisses, 1u);
+    EXPECT_EQ(stats.traceStores, 1u);
+    EXPECT_EQ(stats.corruptEntriesQuarantined, 0u);
+    EXPECT_FALSE(std::filesystem::exists(tpath.string() + ".quarantined"));
+    EXPECT_EQ(readBytes(tpath), good);
     std::filesystem::remove_all(dir);
 }
 

@@ -103,6 +103,7 @@ TEST(TraceTier, ServesCapturesAcrossSweeps)
     second.configs = {"silver"};
     auto secondPoints = sweep::expand(second, &err);
     ASSERT_FALSE(secondPoints.empty()) << err;
+    std::string served;
     {
         sweep::ResultCache cache(dir);
         sweep::SchedulerConfig sc;
@@ -116,7 +117,11 @@ TEST(TraceTier, ServesCapturesAcrossSweeps)
             EXPECT_GT(r.run.sim.cycles, 0u);
             EXPECT_GT(r.run.mix.total(), 0u);
         }
+        served = render(results);
     }
+    // A trace-tier hit reproduces a fresh capture: the silver rows
+    // replayed from stored traces equal an uncached silver sweep's.
+    EXPECT_EQ(served, render(sweep::runSweep(secondPoints, {})));
     std::filesystem::remove_all(dir);
 }
 

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <map>
 #include <random>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "core/runner.hh"
 #include "sim/core_model.hh"
 #include "sweep/grid.hh"
+#include "trace/checksum.hh"
 #include "trace/packed.hh"
 #include "trace/recorder.hh"
 #include "trace/stats.hh"
@@ -540,13 +542,65 @@ TEST(PackedTrace, PayloadRoundTripsAndRejectsCorruption)
         reinterpret_cast<const uint8_t *>(blob.data()), 4, &junk));
 }
 
+TEST(PackedTrace, PayloadReadsFromAStreamIntoTheTraceBuffer)
+{
+    const auto instrs = randomTrace(900, 35);
+    const auto packed = PackedTrace::pack(instrs);
+    const auto header = packed.payloadHeader();
+    const std::string body(
+        reinterpret_cast<const char *>(packed.payloadBody()),
+        packed.byteSize());
+
+    std::istringstream in(body);
+    PackedTrace back;
+    ASSERT_TRUE(
+        PackedTrace::readPayload(header.data(), in, body.size(), &back));
+    expectSameTrace(instrs, back.unpack());
+
+    // The header must announce exactly the bytes that follow it, and a
+    // damaged body fails its checksum.
+    PackedTrace junk;
+    std::istringstream shortIn(body);
+    EXPECT_FALSE(PackedTrace::readPayload(header.data(), shortIn,
+                                          body.size() - 1, &junk));
+    std::string flipped = body;
+    flipped.back() = char(flipped.back() ^ 0x01);
+    std::istringstream badIn(flipped);
+    EXPECT_FALSE(PackedTrace::readPayload(header.data(), badIn,
+                                          flipped.size(), &junk));
+    EXPECT_TRUE(junk.empty());
+}
+
+TEST(PayloadChecksum, KnownAnswers)
+{
+    // Stored traces carry this checksum, so any change to it is a
+    // format change. The first three are the published XXH64 (seed 0)
+    // answers; the rest cover every tail path around the 8- and
+    // 32-byte strides, on a fixed byte pattern.
+    EXPECT_EQ(trace::checksum64("", 0), 0xef46db3751d8e999ull);
+    EXPECT_EQ(trace::checksum64("a", 1), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(trace::checksum64("abc", 3), 0x44bc2cf5ad770999ull);
+
+    std::vector<uint8_t> bytes(4103);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = uint8_t(i * 131 + 7);
+    const std::pair<size_t, uint64_t> known[] = {
+        {0, 0xef46db3751d8e999ull},    {1, 0xa96c7f0ce858bbb7ull},
+        {7, 0x2744460dd675d2c0ull},    {8, 0x994b676b71ce94ddull},
+        {31, 0x6711d55e306b5d8full},   {32, 0x07f7b8e3bc5d6e25ull},
+        {33, 0x09f85eeb4e1cbe9full},   {4103, 0x8536c5215941513eull},
+    };
+    for (const auto &[len, want] : known)
+        EXPECT_EQ(trace::checksum64(bytes.data(), len), want) << "len " << len;
+}
+
 namespace
 {
 
-// Mirror of the payload header + FNV checksum, so tests can craft
-// checksum-valid payloads whose *streams* are truncated or corrupt —
-// the class of damage the header checksum cannot catch and the
-// Cursor's checked decode must.
+// Mirror of the payload header, so tests can craft checksum-valid
+// payloads whose *streams* are truncated or corrupt — the class of
+// damage the body checksum cannot catch and the Cursor's checked
+// decode must.
 struct RawHeader
 {
     uint64_t count;
@@ -556,37 +610,14 @@ struct RawHeader
     uint32_t descSize;
     uint64_t checksum;
 };
-
-uint64_t
-fnv1a(uint64_t h, const void *data, size_t n)
-{
-    const auto *b = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= b[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-uint64_t
-payloadChecksum(const RawHeader &h, const uint8_t *body, size_t len)
-{
-    uint64_t c = 1469598103934665603ull;
-    c = fnv1a(c, &h.count, sizeof h.count);
-    c = fnv1a(c, &h.mainLen, sizeof h.mainLen);
-    c = fnv1a(c, &h.multiLen, sizeof h.multiLen);
-    c = fnv1a(c, &h.descCount, sizeof h.descCount);
-    c = fnv1a(c, &h.descSize, sizeof h.descSize);
-    return fnv1a(c, body, len);
-}
+static_assert(sizeof(RawHeader) == PackedTrace::kPayloadHeaderBytes);
 
 /** Reassemble a payload blob from (possibly doctored) parts, with a
  *  freshly valid checksum. */
 std::string
 craftPayload(RawHeader h, const std::string &body)
 {
-    h.checksum = payloadChecksum(
-        h, reinterpret_cast<const uint8_t *>(body.data()), body.size());
+    h.checksum = trace::checksum64(body.data(), body.size());
     std::string out(reinterpret_cast<const char *>(&h), sizeof h);
     out += body;
     return out;

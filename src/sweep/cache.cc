@@ -475,18 +475,22 @@ ResultCache::loadTrace(const TraceKey &key, trace::PackedTrace *out,
 {
     const auto path =
         std::filesystem::path(diskDir_) / (key.hex() + ".swtp");
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec)
-        return DiskLoad::Miss;
     std::ifstream in(path, std::ios::binary);
     if (!in)
+        return DiskLoad::Miss;
+    // The size comes from the open stream, not the path: a store
+    // renaming a new entry into place cannot pair one file's size
+    // with another's bytes.
+    in.seekg(0, std::ios::end);
+    const std::streamoff size = in.tellg();
+    in.seekg(0, std::ios::beg);
+    if (size < 0 || !in)
         return DiskLoad::Miss;
 
     // Sized reads bounded by the file size. Running past the end is
     // truncation (corrupt); a failed read of bytes that are there is
     // an I/O error, and such bytes cannot be judged (miss).
-    uint64_t left = size;
+    uint64_t left = uint64_t(size);
     bool unreadable = false;
     const auto take = [&](void *dst, size_t n) {
         if (left < n)

@@ -340,19 +340,9 @@ PackedTrace::payloadHeader() const
     return out;
 }
 
-void
-PackedTrace::appendPayload(std::string *out) const
-{
-    const auto h = payloadHeader();
-    out->append(reinterpret_cast<const char *>(h.data()), h.size());
-    if (buf_.size())
-        out->append(reinterpret_cast<const char *>(buf_.data()),
-                    buf_.size());
-}
-
 bool
-PackedTrace::openPayload(const uint8_t *header, size_t body_len,
-                         PackedTrace *t)
+PackedTrace::readPayload(const uint8_t *header, std::istream &in,
+                         size_t body_len, PackedTrace *out)
 {
     const PayloadHeader h = headerAt(header);
     if (h.descSize != sizeof(Desc))
@@ -362,19 +352,17 @@ PackedTrace::openPayload(const uint8_t *header, size_t body_len,
         descBytes > body_len ||
         body_len != descBytes + h.mainLen + h.multiLen)
         return false;
-    t->buf_ = Buf(body_len);
-    t->count_ = h.count;
-    t->mainLen_ = h.mainLen;
-    t->multiLen_ = h.multiLen;
-    t->descCount_ = h.descCount;
-    return true;
-}
-
-bool
-PackedTrace::sealPayload(const uint8_t *header, const PackedTrace &t)
-{
-    if (checksum64(t.buf_.data(), t.buf_.size()) != headerAt(header).checksum)
+    PackedTrace t;
+    t.buf_ = Buf(body_len);
+    if (body_len && !in.read(reinterpret_cast<char *>(t.buf_.data()),
+                             std::streamsize(body_len)))
         return false;
+    if (checksum64(t.buf_.data(), t.buf_.size()) != h.checksum)
+        return false;
+    t.count_ = h.count;
+    t.mainLen_ = h.mainLen;
+    t.multiLen_ = h.multiLen;
+    t.descCount_ = h.descCount;
     for (uint32_t i = 0; i < t.descCount_; ++i) {
         const Desc &d = t.descs()[i];
         if (d.cls >= uint8_t(InstrClass::NumClasses) ||
@@ -382,38 +370,6 @@ PackedTrace::sealPayload(const uint8_t *header, const PackedTrace &t)
             d.stride >= uint8_t(StrideKind::NumKinds))
             return false;
     }
-    return true;
-}
-
-bool
-PackedTrace::parsePayload(const uint8_t *data, size_t len,
-                          PackedTrace *out)
-{
-    PackedTrace t;
-    if (len < kPayloadHeaderBytes ||
-        !openPayload(data, len - kPayloadHeaderBytes, &t))
-        return false;
-    if (t.buf_.size())
-        std::memcpy(t.buf_.data(), data + kPayloadHeaderBytes,
-                    t.buf_.size());
-    if (!sealPayload(data, t))
-        return false;
-    *out = std::move(t);
-    return true;
-}
-
-bool
-PackedTrace::readPayload(const uint8_t *header, std::istream &in,
-                         size_t body_len, PackedTrace *out)
-{
-    PackedTrace t;
-    if (!openPayload(header, body_len, &t))
-        return false;
-    if (body_len && !in.read(reinterpret_cast<char *>(t.buf_.data()),
-                             std::streamsize(body_len)))
-        return false;
-    if (!sealPayload(header, t))
-        return false;
     *out = std::move(t);
     return true;
 }

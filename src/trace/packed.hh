@@ -554,7 +554,7 @@ class PackedTrace
      * (descs | main | multi, byteSize() bytes), written without a
      * copy. Same-host format. The header's checksum (checksum64,
      * trace/checksum.hh) covers the body only; its length and count
-     * fields are bounds-checked on parse, so a container that stores
+     * fields are bounds-checked on read, so a container that stores
      * the header must checksum it itself, as the trace tier does.
      */
     static constexpr size_t kPayloadHeaderBytes = 40;
@@ -565,22 +565,13 @@ class PackedTrace
     /** The payload body: byteSize() bytes. */
     const uint8_t *payloadBody() const { return buf_.data(); }
 
-    /** Append the whole payload (header + body) to @p out. */
-    void appendPayload(std::string *out) const;
-
-    /**
-     * Parse an appendPayload() blob. @return false (and leaves @p out
-     * untouched) on any truncation, bound or checksum violation.
-     */
-    static bool parsePayload(const uint8_t *data, size_t len,
-                             PackedTrace *out);
-
     /**
      * Read the @p body_len -byte body that follows @p header from
-     * @p in straight into a fresh trace buffer, then verify it like
-     * parsePayload(). @return false (and leaves @p out untouched) if
-     * the header does not announce exactly @p body_len bytes, the read
-     * fails, or the body does not verify.
+     * @p in straight into a fresh trace buffer, then verify it: the
+     * body against the header's checksum, every descriptor's enums (so
+     * decoding never has to). @return false (and leaves @p out
+     * untouched) if the header does not announce exactly @p body_len
+     * bytes, the read fails, or the body does not verify.
      */
     static bool readPayload(const uint8_t *header, std::istream &in,
                             size_t body_len, PackedTrace *out);
@@ -602,15 +593,6 @@ class PackedTrace
 
     /** Expand a descriptor into @p out's shape fields. */
     static void expand(const Desc &d, Instr *out);
-
-    /** Bounds-check a payload header against @p body_len and size
-     *  @p t for its body (buffer allocated, not yet filled). */
-    static bool openPayload(const uint8_t *header, size_t body_len,
-                            PackedTrace *t);
-
-    /** Verify @p t's filled body against @p header's checksum and
-     *  validate every descriptor's enums, so decoding never has to. */
-    static bool sealPayload(const uint8_t *header, const PackedTrace &t);
 
     const Desc *descs() const
     {

@@ -56,8 +56,12 @@ capturePayload(core::Workload &w, core::Impl impl)
 {
     trace::PackedTrace::Builder builder;
     core::Runner::captureTo(w, impl, 128, &builder);
-    std::string out;
-    builder.finish().appendPayload(&out);
+    const auto t = builder.finish();
+    const auto header = t.payloadHeader();
+    std::string out(reinterpret_cast<const char *>(header.data()),
+                    header.size());
+    out.append(reinterpret_cast<const char *>(t.payloadBody()),
+               t.byteSize());
     return out;
 }
 

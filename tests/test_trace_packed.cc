@@ -146,9 +146,25 @@ expectSameResult(const sim::SimResult &a, const sim::SimResult &b)
 std::string
 payloadOf(const PackedTrace &t)
 {
-    std::string out;
-    t.appendPayload(&out);
+    const auto header = t.payloadHeader();
+    std::string out(reinterpret_cast<const char *>(header.data()),
+                    header.size());
+    out.append(reinterpret_cast<const char *>(t.payloadBody()),
+               t.byteSize());
     return out;
+}
+
+/** Read a whole payload blob (header + body) back through a stream,
+ *  as the trace tier reads a file. */
+bool
+readBlob(const std::string &blob, PackedTrace *out)
+{
+    if (blob.size() < PackedTrace::kPayloadHeaderBytes)
+        return false;
+    std::istringstream in(blob.substr(PackedTrace::kPayloadHeaderBytes));
+    return PackedTrace::readPayload(
+        reinterpret_cast<const uint8_t *>(blob.data()), in,
+        blob.size() - PackedTrace::kPayloadHeaderBytes, out);
 }
 
 /**
@@ -518,56 +534,34 @@ TEST(PackedTrace, PayloadRoundTripsAndRejectsCorruption)
 {
     const auto instrs = randomTrace(1200, 33);
     const auto packed = PackedTrace::pack(instrs);
+    const std::string blob = payloadOf(packed);
+    const size_t bodyLen = packed.byteSize();
 
-    std::string blob;
-    packed.appendPayload(&blob);
-
+    // The body streams straight into the trace buffer.
     PackedTrace back;
-    ASSERT_TRUE(PackedTrace::parsePayload(
-        reinterpret_cast<const uint8_t *>(blob.data()), blob.size(),
-        &back));
+    ASSERT_TRUE(readBlob(blob, &back));
     expectSameTrace(instrs, back.unpack());
 
-    // Truncation, bit flips and short headers must all be rejected.
+    // The header must announce exactly the bytes that follow it, the
+    // stream must hold them, and a damaged body fails its checksum.
     PackedTrace junk;
-    EXPECT_FALSE(PackedTrace::parsePayload(
-        reinterpret_cast<const uint8_t *>(blob.data()), blob.size() - 1,
-        &junk));
-    std::string flipped = blob;
-    flipped[flipped.size() / 2] = char(flipped[flipped.size() / 2] ^ 0x40);
-    EXPECT_FALSE(PackedTrace::parsePayload(
-        reinterpret_cast<const uint8_t *>(flipped.data()), flipped.size(),
-        &junk));
-    EXPECT_FALSE(PackedTrace::parsePayload(
-        reinterpret_cast<const uint8_t *>(blob.data()), 4, &junk));
-}
-
-TEST(PackedTrace, PayloadReadsFromAStreamIntoTheTraceBuffer)
-{
-    const auto instrs = randomTrace(900, 35);
-    const auto packed = PackedTrace::pack(instrs);
-    const auto header = packed.payloadHeader();
-    const std::string body(
-        reinterpret_cast<const char *>(packed.payloadBody()),
-        packed.byteSize());
-
-    std::istringstream in(body);
-    PackedTrace back;
-    ASSERT_TRUE(
-        PackedTrace::readPayload(header.data(), in, body.size(), &back));
-    expectSameTrace(instrs, back.unpack());
-
-    // The header must announce exactly the bytes that follow it, and a
-    // damaged body fails its checksum.
-    PackedTrace junk;
-    std::istringstream shortIn(body);
-    EXPECT_FALSE(PackedTrace::readPayload(header.data(), shortIn,
-                                          body.size() - 1, &junk));
-    std::string flipped = body;
-    flipped.back() = char(flipped.back() ^ 0x01);
-    std::istringstream badIn(flipped);
-    EXPECT_FALSE(PackedTrace::readPayload(header.data(), badIn,
-                                          flipped.size(), &junk));
+    const auto *header = reinterpret_cast<const uint8_t *>(blob.data());
+    std::istringstream shortBy1(blob.substr(PackedTrace::kPayloadHeaderBytes));
+    EXPECT_FALSE(
+        PackedTrace::readPayload(header, shortBy1, bodyLen - 1, &junk));
+    std::istringstream overBy1(blob.substr(PackedTrace::kPayloadHeaderBytes));
+    EXPECT_FALSE(
+        PackedTrace::readPayload(header, overBy1, bodyLen + 1, &junk));
+    std::istringstream dry(
+        blob.substr(PackedTrace::kPayloadHeaderBytes, bodyLen - 1));
+    EXPECT_FALSE(PackedTrace::readPayload(header, dry, bodyLen, &junk));
+    for (const size_t at :
+         {PackedTrace::kPayloadHeaderBytes, blob.size() / 2,
+          blob.size() - 1}) {
+        std::string flipped = blob;
+        flipped[at] = char(flipped[at] ^ 0x40);
+        EXPECT_FALSE(readBlob(flipped, &junk)) << "byte " << at;
+    }
     EXPECT_TRUE(junk.empty());
 }
 
@@ -649,8 +643,7 @@ TEST(PackedTraceChecked, RejectsTruncatedMainStream)
 {
     const auto instrs = randomTrace(1500, 53);
     const auto packed = PackedTrace::pack(instrs);
-    std::string blob;
-    packed.appendPayload(&blob);
+    const std::string blob = payloadOf(packed);
     ASSERT_GT(blob.size(), sizeof(RawHeader));
 
     RawHeader h;
@@ -659,7 +652,7 @@ TEST(PackedTraceChecked, RejectsTruncatedMainStream)
     const size_t descBytes = size_t(h.descCount) * h.descSize;
 
     // Chop K bytes off the end of the main stream, keep the header
-    // consistent and the checksum valid: parsePayload cannot tell, so
+    // consistent and the checksum valid: readPayload cannot tell, so
     // the Cursor must stop cleanly (never reading out of bounds) and
     // flag the malformation instead of fabricating a full trace.
     for (size_t k = 1; k <= std::min<uint64_t>(24, h.mainLen); ++k) {
@@ -670,9 +663,7 @@ TEST(PackedTraceChecked, RejectsTruncatedMainStream)
         const std::string crafted = craftPayload(th, tbody);
 
         PackedTrace t;
-        if (!PackedTrace::parsePayload(
-                reinterpret_cast<const uint8_t *>(crafted.data()),
-                crafted.size(), &t))
+        if (!readBlob(crafted, &t))
             continue; // structural reject is fine too
         PackedTrace::Cursor cur(t);
         PackedTrace::Decoded d;
@@ -688,8 +679,7 @@ TEST(PackedTraceChecked, FusedReplayThrowsOnTruncatedTrace)
 {
     const auto instrs = randomTrace(1200, 55);
     const auto packed = PackedTrace::pack(instrs);
-    std::string blob;
-    packed.appendPayload(&blob);
+    const std::string blob = payloadOf(packed);
     RawHeader h;
     std::memcpy(&h, blob.data(), sizeof h);
     const std::string body = blob.substr(sizeof h);
@@ -701,9 +691,7 @@ TEST(PackedTraceChecked, FusedReplayThrowsOnTruncatedTrace)
     tbody += body.substr(descBytes + size_t(h.mainLen));
     const std::string crafted = craftPayload(th, tbody);
     PackedTrace t;
-    ASSERT_TRUE(PackedTrace::parsePayload(
-        reinterpret_cast<const uint8_t *>(crafted.data()),
-        crafted.size(), &t));
+    ASSERT_TRUE(readBlob(crafted, &t));
     EXPECT_THROW(sim::simulateTraceMany(t, {sim::primeConfig()}, 0),
                  std::runtime_error);
 }
@@ -718,8 +706,7 @@ TEST(PackedTraceChecked, RejectsTruncatedMultiStream)
     ASSERT_GT(multi, 0u);
 
     const auto packed = PackedTrace::pack(instrs);
-    std::string blob;
-    packed.appendPayload(&blob);
+    const std::string blob = payloadOf(packed);
     RawHeader h;
     std::memcpy(&h, blob.data(), sizeof h);
     ASSERT_GT(h.multiLen, 0u);
@@ -730,9 +717,7 @@ TEST(PackedTraceChecked, RejectsTruncatedMultiStream)
     const std::string crafted = craftPayload(
         th, body.substr(0, body.size() - size_t(h.multiLen)));
     PackedTrace t;
-    if (PackedTrace::parsePayload(
-            reinterpret_cast<const uint8_t *>(crafted.data()),
-            crafted.size(), &t)) {
+    if (readBlob(crafted, &t)) {
         PackedTrace::Cursor cur(t);
         PackedTrace::Decoded d;
         while (cur.next(d)) {
@@ -745,8 +730,7 @@ TEST(PackedTraceChecked, RejectsLyingInstructionCount)
 {
     const auto instrs = randomTrace(600, 59);
     const auto packed = PackedTrace::pack(instrs);
-    std::string blob;
-    packed.appendPayload(&blob);
+    const std::string blob = payloadOf(packed);
     RawHeader h;
     std::memcpy(&h, blob.data(), sizeof h);
     const std::string body = blob.substr(sizeof h);
@@ -756,9 +740,7 @@ TEST(PackedTraceChecked, RejectsLyingInstructionCount)
         th.count = uint64_t(int64_t(h.count) + delta);
         const std::string crafted = craftPayload(th, body);
         PackedTrace t;
-        ASSERT_TRUE(PackedTrace::parsePayload(
-            reinterpret_cast<const uint8_t *>(crafted.data()),
-            crafted.size(), &t));
+        ASSERT_TRUE(readBlob(crafted, &t));
         PackedTrace::Cursor cur(t);
         PackedTrace::Decoded d;
         while (cur.next(d)) {
@@ -773,8 +755,7 @@ TEST(PackedTraceChecked, FuzzedStreamBytesNeverCrashTheDecoder)
 {
     const auto instrs = randomTrace(1000, 61);
     const auto packed = PackedTrace::pack(instrs);
-    std::string blob;
-    packed.appendPayload(&blob);
+    const std::string blob = payloadOf(packed);
     RawHeader h;
     std::memcpy(&h, blob.data(), sizeof h);
     const size_t descBytes = size_t(h.descCount) * h.descSize;
@@ -794,9 +775,7 @@ TEST(PackedTraceChecked, FuzzedStreamBytesNeverCrashTheDecoder)
         }
         const std::string crafted = craftPayload(h, fuzzed);
         PackedTrace t;
-        if (!PackedTrace::parsePayload(
-                reinterpret_cast<const uint8_t *>(crafted.data()),
-                crafted.size(), &t))
+        if (!readBlob(crafted, &t))
             continue;
         // Decoding must terminate without reading out of bounds and
         // never fabricate more records than advertised; a stream the
@@ -934,8 +913,7 @@ TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdictFromEveryImpl)
     // records (or silence) the scalar decoder would not.
     const auto instrs = randomTrace(900, 71);
     const auto packed = PackedTrace::pack(instrs);
-    std::string blob;
-    packed.appendPayload(&blob);
+    const std::string blob = payloadOf(packed);
     RawHeader h;
     std::memcpy(&h, blob.data(), sizeof h);
     const size_t descBytes = size_t(h.descCount) * h.descSize;
@@ -964,9 +942,7 @@ TEST(PackedTraceBatch, DamagedStreamsGetTheSameVerdictFromEveryImpl)
 
     for (size_t c = 0; c < crafted.size(); ++c) {
         PackedTrace t;
-        if (!PackedTrace::parsePayload(
-                reinterpret_cast<const uint8_t *>(crafted[c].data()),
-                crafted[c].size(), &t))
+        if (!readBlob(crafted[c], &t))
             continue; // structural reject: nothing reaches the decoders
 
         bool refOk = false;

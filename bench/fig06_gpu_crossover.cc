@@ -30,7 +30,12 @@ neonTimeSec(core::Workload &w, const sim::CoreConfig &cfg)
     sim::CoreModel model(cfg);
     model.beginMeasurement();
     {
+        // Canonical addresses (trace/canonical.hh), as every runner
+        // capture records: host heap addresses would make the cache
+        // model, and so the printed times, vary from run to run.
+        const char anchor = 0;
         trace::Recorder rec(&model);
+        rec.canonicalize(&anchor);
         trace::ScopedRecorder scoped(&rec);
         w.runNeon(128);
     }

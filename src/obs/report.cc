@@ -51,10 +51,14 @@ PhaseStats::add(const SpanRec &r)
 double
 RunReport::replayMinstrPerS() const
 {
+    // A replay span's arg counts its whole unit's steps, including the
+    // lanes it donated, so the donated lanes' time joins the divisor.
     const PhaseStats &r = phases[size_t(Phase::Replay)];
-    if (!r.wallNs || !r.argTotal)
+    const uint64_t wall =
+        r.wallNs + phases[size_t(Phase::ReplayResume)].wallNs;
+    if (!wall || !r.argTotal)
         return 0.0;
-    return double(r.argTotal) * 1e3 / double(r.wallNs);
+    return double(r.argTotal) * 1e3 / double(wall);
 }
 
 RunReport

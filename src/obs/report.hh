@@ -58,7 +58,8 @@ struct RunReport
 
     /** Fused-replay throughput over the whole run, in millions of
      *  instruction-steps (decoded instruction x config x pass) per
-     *  second of replay wall time; 0 when nothing replayed. */
+     *  second of replay and replay_resume wall time; 0 when nothing
+     *  replayed. */
     double replayMinstrPerS() const;
 };
 

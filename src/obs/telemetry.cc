@@ -48,6 +48,8 @@ name(Phase p)
         return "workload_make";
       case Phase::TraceStore:
         return "trace_store";
+      case Phase::ReplayResume:
+        return "replay_resume";
     }
     return "unknown";
 }

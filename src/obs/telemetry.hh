@@ -47,9 +47,10 @@ enum class Phase : uint8_t
     Demote,      //!< disk-tier eviction under the size cap
     WorkloadMake, //!< workload construction (KernelSpec::make)
     TraceStore,  //!< captured trace write into the trace tier
+    ReplayResume, //!< donated replay lanes resumed by an idle worker
 };
 
-constexpr size_t kPhaseCount = size_t(Phase::TraceStore) + 1;
+constexpr size_t kPhaseCount = size_t(Phase::ReplayResume) + 1;
 
 /** Lower-case stable phase name ("grid_expand", "replay", ...). */
 std::string_view name(Phase p);
@@ -63,7 +64,7 @@ struct SpanRec
     uint64_t cpuNs = 0; //!< thread CPU time consumed inside the span
     /** Phase-specific payload: instructions decoded (Replay: decoded
      *  instructions x configs x passes), bytes (Pack), points
-     *  (CacheLookup/Publish). */
+     *  (CacheLookup/Publish), configuration lanes (ReplayResume). */
     uint64_t arg = 0;
     uint32_t tid = 0; //!< stable-per-thread id (hashed, truncated)
     Phase phase = Phase::Sweep;

@@ -599,10 +599,40 @@ ReplayObserver::setBranchMispredictRate(CoreModel &m, double rate)
 namespace detail
 {
 
+namespace
+{
+
+/**
+ * Split lanes [keep, piece.models.size()) off @p piece and hand them to
+ * @p donor as a piece of their own, resuming at @p cur in the same
+ * pass. The caller has synced their step state into the models.
+ */
+void
+donateTail(ReplayPiece &piece, size_t keep,
+           const trace::PackedTrace::Cursor &cur, ReplayDonor &donor)
+{
+    ReplayPiece rest;
+    rest.cursor = cur;
+    rest.pass = piece.pass;
+    rest.warmupPasses = piece.warmupPasses;
+    const auto k = std::ptrdiff_t(keep);
+    rest.models.assign(std::make_move_iterator(piece.models.begin() + k),
+                       std::make_move_iterator(piece.models.end()));
+    rest.slots.assign(piece.slots.begin() + k, piece.slots.end());
+    piece.models.resize(keep);
+    piece.slots.resize(keep);
+    donor.donate(std::move(rest));
+}
+
+} // namespace
+
 template <bool HasObserver>
 void
 replayWith(const trace::PackedTrace &trace,
-           std::span<CoreModel *const> models, ReplayObserver *payload)
+           std::span<CoreModel *const> models,
+           trace::PackedTrace::Cursor cur, ReplayObserver *payload,
+           [[maybe_unused]] ReplayPiece *piece,
+           [[maybe_unused]] ReplayDonor *donor)
 {
     if (models.empty())
         return;
@@ -638,7 +668,7 @@ replayWith(const trace::PackedTrace &trace,
     // Sink-delivery path cannot offer (it has nowhere to keep
     // cross-call scratch without growing every model).
     constexpr size_t kBL = CoreModel::LaneBlock::kLanes;
-    const size_t nm = models.size();
+    size_t nm = models.size();
     CoreModel::LaneBlock stackBlock;
     std::vector<CoreModel::LaneBlock> heapBlocks;
     CoreModel::LaneBlock *blocks = &stackBlock;
@@ -699,7 +729,6 @@ replayWith(const trace::PackedTrace &trace,
     constexpr size_t kDecodeChunk = 128;
     CoreModel::StepIn batch[kBatch];
     trace::PackedTrace::Decoded dbuf[kDecodeChunk];
-    trace::PackedTrace::Cursor cur(trace);
     while (true) {
         size_t cap = kBatch;
         [[maybe_unused]] uint32_t clamp = 0;
@@ -785,6 +814,25 @@ replayWith(const trace::PackedTrace &trace,
             (noRestart ? b.fnMono[s] : b.fnChecked[s])(
                 *b.model[s], b.st[s], b.frontier[s], batch, nb);
         }
+        if constexpr (!HasObserver) {
+            // Lane donation (ReplayDonor): an idle worker takes the
+            // upper half of the lanes from here on. Their register-
+            // resident step state goes back into their models first;
+            // their frontier hints stay behind (a zeroed hint is
+            // always valid). Polled once per batch, so a traversal
+            // with no donor pays one predictable branch.
+            if (donor && nm > 1 && cur.remaining() && donor->hungry()) {
+                const size_t keep = nm - nm / 2;
+                for (size_t i = keep; i < nm; ++i)
+                    blocks[i / kBL].model[i % kBL]->st_ =
+                        blocks[i / kBL].st[i % kBL];
+                {
+                    SWAN_NOALLOC_PAUSE();
+                    donateTail(*piece, keep, cur, *donor);
+                }
+                nm = keep;
+            }
+        }
         if constexpr (HasObserver) {
             pos += nb;
             if (boundary != ReplayObserver::kNoBoundary &&
@@ -821,10 +869,14 @@ replayWith(const trace::PackedTrace &trace,
 
 template void replayWith<false>(const trace::PackedTrace &,
                                 std::span<CoreModel *const>,
-                                ReplayObserver *);
+                                trace::PackedTrace::Cursor,
+                                ReplayObserver *, ReplayPiece *,
+                                ReplayDonor *);
 template void replayWith<true>(const trace::PackedTrace &,
                                std::span<CoreModel *const>,
-                               ReplayObserver *);
+                               trace::PackedTrace::Cursor,
+                               ReplayObserver *, ReplayPiece *,
+                               ReplayDonor *);
 
 } // namespace detail
 
@@ -832,46 +884,77 @@ void
 replay(const trace::PackedTrace &trace,
        std::span<CoreModel *const> models)
 {
-    detail::replayWith<false>(trace, models, nullptr);
+    detail::replayWith<false>(trace, models,
+                              trace::PackedTrace::Cursor(trace), nullptr,
+                              nullptr, nullptr);
 }
 
 void
 replay(const trace::PackedTrace &trace, std::span<CoreModel *const> models,
        ReplayObserver &payload)
 {
-    detail::replayWith<true>(trace, models, &payload);
+    detail::replayWith<true>(trace, models,
+                             trace::PackedTrace::Cursor(trace), &payload,
+                             nullptr, nullptr);
 }
 
-namespace
+ReplayDonor::~ReplayDonor() = default;
+
+ReplayPiece
+startReplay(const trace::PackedTrace &trace,
+            const std::vector<CoreConfig> &cfgs, int warmup_passes)
 {
+    ReplayPiece piece;
+    piece.models.reserve(cfgs.size());
+    piece.slots.reserve(cfgs.size());
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        piece.models.push_back(std::make_unique<CoreModel>(cfgs[i]));
+        piece.slots.push_back(i);
+    }
+    piece.cursor = trace::PackedTrace::Cursor(trace);
+    piece.warmupPasses = warmup_passes;
+    if (warmup_passes == 0)
+        for (auto &m : piece.models)
+            m->beginMeasurement();
+    return piece;
+}
 
 /**
- * Shared warmup/measure/finish protocol of all the replay entry
- * points. @p feedPass delivers one full pass of the trace to a span of
- * models; it is called warmup_passes + 1 times.
+ * The pass protocol every packed replay entry point shares: finish the
+ * current pass from the piece's cursor, then run each remaining pass
+ * from the top, beginning measurement as the measured pass starts. A
+ * split only ever drops the tail of the piece's lanes, so the pointer
+ * prefix built here stays valid across passes.
  */
-template <typename FeedPass>
-std::vector<SimResult>
-replayPasses(const std::vector<CoreConfig> &cfgs, int warmup_passes,
-             FeedPass &&feedPass)
+void
+resumeReplay(const trace::PackedTrace &trace, ReplayPiece &piece,
+             ReplayDonor *donor, SimResult *out)
 {
-    std::vector<std::unique_ptr<CoreModel>> models;
-    models.reserve(cfgs.size());
-    for (const auto &cfg : cfgs)
-        models.push_back(std::make_unique<CoreModel>(cfg));
-    for (int p = 0; p < warmup_passes; ++p)
-        feedPass(models);
-    for (auto &m : models)
-        m->beginMeasurement();
-    feedPass(models);
-    std::vector<SimResult> out;
-    out.reserve(models.size());
-    for (auto &m : models)
-        out.push_back(m->finish());
-    return out;
+    CoreModel *ptrs[16];
+    std::vector<CoreModel *> heapPtrs;
+    CoreModel **base = ptrs;
+    if (piece.models.size() > 16) {
+        heapPtrs.resize(piece.models.size());
+        base = heapPtrs.data();
+    }
+    for (size_t i = 0; i < piece.models.size(); ++i)
+        base[i] = piece.models[i].get();
+    while (true) {
+        detail::replayWith<false>(
+            trace,
+            std::span<CoreModel *const>(base, piece.models.size()),
+            piece.cursor, nullptr, &piece, donor);
+        if (piece.pass >= piece.warmupPasses)
+            break;
+        ++piece.pass;
+        piece.cursor = trace::PackedTrace::Cursor(trace);
+        if (piece.pass == piece.warmupPasses)
+            for (auto &m : piece.models)
+                m->beginMeasurement();
+    }
+    for (size_t i = 0; i < piece.models.size(); ++i)
+        out[piece.slots[i]] = piece.models[i]->finish();
 }
-
-} // namespace
 
 SimResult
 simulateTrace(const std::vector<Instr> &instrs, const CoreConfig &cfg,
@@ -903,20 +986,10 @@ simulateTraceMany(const trace::PackedTrace &trace,
     obs::Span span(obs::Phase::Replay,
                    uint64_t(trace.size()) * cfgs.size() *
                        uint64_t(warmup_passes + 1));
-    return replayPasses(cfgs, warmup_passes, [&](auto &models) {
-        // Fused replay: decode once per pass, step every model per
-        // decoded instruction (see replay()).
-        CoreModel *ptrs[16];
-        std::vector<CoreModel *> heapPtrs;
-        CoreModel **base = ptrs;
-        if (models.size() > 16) {
-            heapPtrs.resize(models.size());
-            base = heapPtrs.data();
-        }
-        for (size_t i = 0; i < models.size(); ++i)
-            base[i] = models[i].get();
-        replay(trace, std::span<CoreModel *const>(base, models.size()));
-    });
+    ReplayPiece piece = startReplay(trace, cfgs, warmup_passes);
+    std::vector<SimResult> out(cfgs.size());
+    resumeReplay(trace, piece, nullptr, out.data());
+    return out;
 }
 
 std::vector<SimResult>
@@ -927,13 +1000,25 @@ simulateTraceMany(const std::vector<Instr> &instrs,
     obs::Span span(obs::Phase::Replay,
                    uint64_t(instrs.size()) * cfgs.size() *
                        uint64_t(warmup_passes + 1));
-    return replayPasses(cfgs, warmup_passes, [&](auto &models) {
+    std::vector<std::unique_ptr<CoreModel>> models;
+    models.reserve(cfgs.size());
+    for (const auto &cfg : cfgs)
+        models.push_back(std::make_unique<CoreModel>(cfg));
+    for (int p = 0; p <= warmup_passes; ++p) {
+        if (p == warmup_passes)
+            for (auto &m : models)
+                m->beginMeasurement();
         for (size_t at = 0; at < instrs.size(); at += kBlock) {
             const size_t n = std::min(kBlock, instrs.size() - at);
             for (auto &m : models)
                 m->onBlock(instrs.data() + at, n);
         }
-    });
+    }
+    std::vector<SimResult> out;
+    out.reserve(models.size());
+    for (auto &m : models)
+        out.push_back(m->finish());
+    return out;
 }
 
 } // namespace swan::sim

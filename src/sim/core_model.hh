@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -156,15 +157,22 @@ class ReplayObserver
 void replay(const trace::PackedTrace &trace,
             std::span<CoreModel *const> models, ReplayObserver &payload);
 
+struct ReplayPiece;
+class ReplayDonor;
+
 namespace detail
 {
-/** Shared driver behind both replay() overloads (defined in
- *  core_model.cc): HasObserver = false must compile to the historic
- *  observer-free loop, bit for bit. */
+/** Shared driver behind both replay() overloads and resumeReplay()
+ *  (defined in core_model.cc): steps @p models from @p cur to the end
+ *  of its pass. HasObserver = false must compile to the historic
+ *  observer-free loop, bit for bit; only that instantiation splits,
+ *  and only when given a @p piece (whose models @p models points at,
+ *  in order) and a @p donor. */
 template <bool HasObserver>
 void replayWith(const trace::PackedTrace &trace,
                 std::span<CoreModel *const> models,
-                ReplayObserver *payload);
+                trace::PackedTrace::Cursor cur, ReplayObserver *payload,
+                ReplayPiece *piece, ReplayDonor *donor);
 } // namespace detail
 
 /** Incremental trace-driven core model. */
@@ -210,7 +218,9 @@ class CoreModel : public trace::Sink
     template <bool HasObserver>
     friend void detail::replayWith(const trace::PackedTrace &trace,
                                    std::span<CoreModel *const> models,
-                                   ReplayObserver *payload);
+                                   trace::PackedTrace::Cursor cur,
+                                   ReplayObserver *payload,
+                                   ReplayPiece *piece, ReplayDonor *donor);
     friend class ReplayObserver;
 
     static constexpr uint8_t kFlagLoad = 1;
@@ -409,6 +419,68 @@ class CoreModel : public trace::Sink
 };
 
 /**
+ * Configuration lanes of a fused traversal, resumable at a decode-batch
+ * boundary on any thread. Passes 0 .. warmupPasses - 1 warm the caches
+ * and pass warmupPasses is measured; the models begin measurement as
+ * the measured pass starts, so a piece split off inside that pass has
+ * already begun it. The piece refers to its trace only through the
+ * cursor: the trace must outlive it.
+ */
+struct ReplayPiece
+{
+    /** The lanes' models, owned: a split moves models, never copies. */
+    std::vector<std::unique_ptr<CoreModel>> models;
+    /** Result slot of each model (its configuration's index in the
+     *  traversal that started the piece). */
+    std::vector<size_t> slots;
+    /** The next record of the current pass. */
+    trace::PackedTrace::Cursor cursor;
+    int pass = 0;
+    int warmupPasses = 0;
+};
+
+/**
+ * Where a splittable traversal (resumeReplay) hands lanes off. It polls
+ * hungry() once per decode batch. When that returns true, and the
+ * traversal has two lanes or more and records left in its pass, it
+ * syncs the upper half of its lanes into their models and donate()s
+ * them as a piece with a copy of its cursor and its pass index, then
+ * carries on with the lower half. Each model's evolution depends only
+ * on the instruction stream it sees, and the issue-frontier hints a
+ * split leaves behind are pure hints (CoreModel::findIssueSlot), so
+ * where and when a piece runs changes no result bit.
+ */
+class ReplayDonor
+{
+  public:
+    virtual ~ReplayDonor();
+
+    /** Whether anyone waits for work; polled once per decode batch. */
+    virtual bool hungry() const = 0;
+
+    /** Take @p piece; it must be resumed once (resumeReplay), on any
+     *  thread, against the same trace. */
+    virtual void donate(ReplayPiece piece) = 0;
+};
+
+/** A traversal's first piece: one fresh model per configuration in
+ *  @p cfgs (slots 0..n-1), at the first record of pass 0. */
+ReplayPiece startReplay(const trace::PackedTrace &trace,
+                        const std::vector<CoreConfig> &cfgs,
+                        int warmup_passes);
+
+/**
+ * Step @p piece to the end of its measured pass and write each model's
+ * finished result to out[slot]. With a @p donor the traversal may split
+ * (ReplayDonor); on return piece.models and piece.slots hold only the
+ * lanes this call finished. Without one it is the plain fused replay
+ * of every remaining pass. @throws std::runtime_error when the encoded
+ * stream is malformed.
+ */
+void resumeReplay(const trace::PackedTrace &trace, ReplayPiece &piece,
+                  ReplayDonor *donor, SimResult *out);
+
+/**
  * Simulate a buffered trace on @p cfg with @p warmup_passes cache-warming
  * replays before the measured pass (the paper warms caches before each
  * measured iteration).
@@ -427,7 +499,9 @@ SimResult simulateTrace(const trace::PackedTrace &trace,
  * N-config sweep point costs one trace traversal, one decode, and zero
  * staging-buffer round-trips. Each model's state evolution only
  * depends on the instruction stream it sees, so result i is
- * bit-identical to simulateTrace(trace, cfgs[i], warmup_passes).
+ * bit-identical to simulateTrace(trace, cfgs[i], warmup_passes). The
+ * traversal runs on the calling thread and never splits
+ * (resumeReplay with no donor).
  */
 std::vector<SimResult>
 simulateTraceMany(const trace::PackedTrace &trace,

@@ -104,6 +104,29 @@ parseStemHash(const std::string &name, uint64_t *out)
     return true;
 }
 
+/**
+ * Open a cache entry for reading and measure it through the open
+ * stream, not the path: a store renaming a new entry into place
+ * between the two cannot pair one file's size with another's bytes
+ * (which would fail the checksum and quarantine a valid entry).
+ * False when the file is absent or cannot be measured.
+ */
+bool
+openSized(const std::filesystem::path &path, std::ifstream &in,
+          uint64_t *size)
+{
+    in.open(path, std::ios::binary);
+    if (!in)
+        return false;
+    in.seekg(0, std::ios::end);
+    const std::streamoff end = in.tellg();
+    in.seekg(0, std::ios::beg);
+    if (end < 0 || !in)
+        return false;
+    *size = uint64_t(end);
+    return true;
+}
+
 } // namespace
 
 uint64_t
@@ -475,22 +498,15 @@ ResultCache::loadTrace(const TraceKey &key, trace::PackedTrace *out,
 {
     const auto path =
         std::filesystem::path(diskDir_) / (key.hex() + ".swtp");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return DiskLoad::Miss;
-    // The size comes from the open stream, not the path: a store
-    // renaming a new entry into place cannot pair one file's size
-    // with another's bytes.
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    in.seekg(0, std::ios::beg);
-    if (size < 0 || !in)
+    std::ifstream in;
+    uint64_t size = 0;
+    if (!openSized(path, in, &size))
         return DiskLoad::Miss;
 
     // Sized reads bounded by the file size. Running past the end is
     // truncation (corrupt); a failed read of bytes that are there is
     // an I/O error, and such bytes cannot be judged (miss).
-    uint64_t left = uint64_t(size);
+    uint64_t left = size;
     bool unreadable = false;
     const auto take = [&](void *dst, size_t n) {
         if (left < n)
@@ -746,14 +762,14 @@ ResultCache::loadDisk(const CacheKey &key, core::KernelRun *out)
 {
     const auto path =
         std::filesystem::path(diskDir_) / (key.hex() + ".swr");
-    std::error_code ec;
-    const auto fsize = std::filesystem::file_size(path, ec);
-    if (ec)
-        return DiskLoad::Miss; // absent: the ordinary cold-cache case
-    std::string buf(fsize, '\0');
+    std::string buf;
     {
-        std::ifstream raw(path, std::ios::binary);
-        if (!raw || !raw.read(buf.data(), std::streamsize(fsize)))
+        std::ifstream raw;
+        uint64_t size = 0;
+        if (!openSized(path, raw, &size))
+            return DiskLoad::Miss; // absent: the ordinary cold-cache case
+        buf.resize(size_t(size));
+        if (!raw.read(buf.data(), std::streamsize(size)))
             return DiskLoad::Miss; // unreadable: cannot judge the bytes
     }
 

@@ -1,7 +1,6 @@
 #include "sweep/scheduler.hh"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 
 #include "core/registry.hh"
 #include "obs/telemetry.hh"
+#include "sim/core_model.hh"
 #include "trace/packed.hh"
 #include "trace/stats.hh"
 
@@ -24,12 +24,13 @@ namespace
  * One trace group: every pending point that shares a capture identity
  * (kernel, impl, width, working set). The group is one work unit: the
  * worker that runs it acquires the trace (trace tier, or make ->
- * capture -> finish -> store), streams it through all of the group's
- * core configurations in a single fused traversal
- * (sim::simulateTraceMany -> sim::replay: one varint decode per
- * instruction, every config's model stepped from the same decoded
- * registers), publishes the results and drops the trace. At most
- * `jobs` traces are live at once.
+ * capture -> finish -> store) and streams it through all of the
+ * group's core configurations in a single fused traversal
+ * (sim::resumeReplay: one varint decode per instruction, every
+ * config's model stepped from the same decoded registers). Idle
+ * workers may take lanes of that traversal over (UnitReplay); whoever
+ * finishes the last lane publishes the results, and the trace is
+ * dropped with the last piece. At most `jobs` traces are live at once.
  *
  * Units are independent: captured traces carry canonical addresses
  * (trace/canonical.hh), a pure function of the kernel's access stream,
@@ -83,106 +84,194 @@ class BuilderPool
     std::vector<std::unique_ptr<trace::PackedTrace::Builder>> idle_;
 };
 
-/** One worker's mutex-guarded queue of unit indices. */
-struct WorkQueue
+/**
+ * A unit's replay once its traversal may split: the trace and results
+ * every piece of it shares. The worker that finishes the last lane
+ * publishes. A piece that throws never counts its lanes done, so the
+ * unit never publishes partial results.
+ */
+struct UnitReplay
 {
-    std::mutex mu;
-    std::deque<size_t> units; //!< guarded by mu
+    using Publish = std::function<void(UnitReplay &)>;
 
-    bool
-    popFront(size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (units.empty())
-            return false;
-        *out = units.front();
-        units.pop_front();
-        return true;
-    }
+    UnitReplay(size_t g, const Publish &p) : group(g), publish(p) {}
 
-    bool
-    stealBack(size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (units.empty())
-            return false;
-        *out = units.back();
-        units.pop_back();
-        return true;
-    }
-
-    size_t
-    size()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        return units.size();
-    }
+    const size_t group;
+    const Publish &publish;
+    trace::PackedTrace trace;
+    trace::MixStats mix;
+    std::vector<sim::SimResult> sims; //!< parallel to the group's points
+    std::atomic<size_t> lanesLeft{0};
 };
 
-/** Run every unit of @p queues, starting from queue @p self and then
- *  stealing from the back of the fullest other queue. */
-void
-drain(const std::function<void(size_t)> &fn,
-      std::vector<WorkQueue> &queues, size_t self)
+bool runLanes(UnitPool &pool, const std::shared_ptr<UnitReplay> &unit,
+              sim::ReplayPiece &piece);
+
+/** Hands the lanes a traversal splits off to the pool's idle workers,
+ *  each piece as a donated task that may split again. */
+class PoolDonor final : public sim::ReplayDonor
 {
-    size_t u = 0;
-    while (true) {
-        if (queues[self].popFront(&u)) {
-            fn(u);
-            continue;
-        }
-        size_t victim = queues.size();
-        size_t most = 0;
-        for (size_t v = 0; v < queues.size(); ++v) {
-            if (v == self)
-                continue;
-            const size_t n = queues[v].size();
-            if (n > most) {
-                most = n;
-                victim = v;
-            }
-        }
-        // No queue had work at scan time: nobody pushes mid-run, so
-        // emptiness is stable once observed.
-        if (victim == queues.size())
-            return;
-        // Lost the steal race: rescan, another victim may still hold
-        // work.
-        if (queues[victim].stealBack(&u))
-            fn(u);
+  public:
+    PoolDonor(UnitPool &pool, const std::shared_ptr<UnitReplay> &unit)
+        : pool_(pool), unit_(unit)
+    {
     }
+
+    bool hungry() const override { return pool_.hungry(); }
+
+    void
+    donate(sim::ReplayPiece piece) override
+    {
+        auto rest = std::make_shared<sim::ReplayPiece>(std::move(piece));
+        pool_.donate([&pool = pool_, unit = unit_, rest] {
+            bool last = false;
+            {
+                obs::Span span(obs::Phase::ReplayResume,
+                               rest->models.size());
+                last = runLanes(pool, unit, *rest);
+            }
+            if (last)
+                unit->publish(*unit);
+        });
+    }
+
+  private:
+    UnitPool &pool_;
+    std::shared_ptr<UnitReplay> unit_;
+};
+
+/** Step @p piece of @p unit to its end on this worker, donating lanes
+ *  while the pool is hungry, and free its models here. True when this
+ *  call finished the unit's last lane. */
+bool
+runLanes(UnitPool &pool, const std::shared_ptr<UnitReplay> &unit,
+         sim::ReplayPiece &piece)
+{
+    PoolDonor donor(pool, unit);
+    sim::resumeReplay(unit->trace, piece, &donor, unit->sims.data());
+    const size_t n = piece.slots.size();
+    piece.models.clear();
+    return unit->lanesLeft.fetch_sub(n, std::memory_order_acq_rel) == n;
 }
 
 } // namespace
 
+UnitPool::UnitPool(size_t units, size_t workers, const UnitFn &fn)
+    : fn_(fn), queues_(std::max<size_t>(workers, 1))
+{
+    for (size_t u = 0; u < units; ++u)
+        queues_[u % queues_.size()].push_back(u);
+}
+
+bool
+UnitPool::takeUnit(size_t self, size_t *u)
+{
+    if (!queues_[self].empty()) {
+        *u = queues_[self].front();
+        queues_[self].pop_front();
+        return true;
+    }
+    std::deque<size_t> *victim = nullptr;
+    for (auto &q : queues_)
+        if (!q.empty() && (!victim || q.size() > victim->size()))
+            victim = &q;
+    if (!victim)
+        return false;
+    *u = victim->back();
+    victim->pop_back();
+    return true;
+}
+
 void
-forEachUnit(size_t units, int jobs, const std::function<void(size_t)> &fn)
+UnitPool::updateHunger()
+{
+    hunger_.store(long(waiting_) - long(donations_.size()),
+                  std::memory_order_relaxed);
+}
+
+void
+UnitPool::donate(std::function<void()> task)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        donations_.push_back(std::move(task));
+        updateHunger();
+    }
+    cv_.notify_one();
+}
+
+void
+UnitPool::work(size_t self)
+{
+    // Run a task (mu_ released); keep the first exception any task
+    // throws and carry on with the rest.
+    const auto run = [this](const auto &f) {
+        try {
+            f();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (!error_)
+                error_ = std::current_exception();
+        }
+    };
+    std::unique_lock<std::mutex> lock(mu_);
+    size_t u = 0;
+    while (true) {
+        if (takeUnit(self, &u)) {
+            ++running_;
+            lock.unlock();
+            run([&] { fn_(u, *this); });
+            lock.lock();
+            --running_;
+        } else if (!donations_.empty()) {
+            std::function<void()> task = std::move(donations_.front());
+            donations_.pop_front();
+            ++running_;
+            updateHunger();
+            lock.unlock();
+            run(task);
+            task = nullptr; // drop what the task holds before relocking
+            lock.lock();
+            --running_;
+        } else if (running_ == 0) {
+            // Nothing queued and nothing running that could donate:
+            // the pool is done. Wake the waiters so they leave too.
+            cv_.notify_all();
+            return;
+        } else {
+            ++waiting_;
+            updateHunger();
+            cv_.wait(lock);
+            --waiting_;
+            updateHunger();
+        }
+    }
+}
+
+void
+forEachUnit(size_t units, int jobs, const UnitFn &fn)
 {
     const size_t workers =
         std::min<size_t>(size_t(std::max(1, jobs)), units);
+    UnitPool pool(units, workers, fn);
     if (workers <= 1) {
-        for (size_t u = 0; u < units; ++u)
-            fn(u);
-        return;
-    }
-    // Deal units round-robin so initial shares interleave the grid
-    // (adjacent groups of one kernel tend to cost the same).
-    std::vector<WorkQueue> queues(workers);
-    for (size_t u = 0; u < units; ++u)
-        queues[u % workers].units.push_back(u);
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    try {
-        for (size_t t = 0; t < workers; ++t)
-            threads.emplace_back([&fn, &queues, t] { drain(fn, queues, t); });
-    } catch (...) {
+        pool.work(0);
+    } else {
+        std::vector<std::thread> threads;
+        threads.reserve(workers);
+        try {
+            for (size_t t = 0; t < workers; ++t)
+                threads.emplace_back([&pool, t] { pool.work(t); });
+        } catch (...) {
+            for (std::thread &w : threads)
+                w.join();
+            throw;
+        }
         for (std::thread &w : threads)
             w.join();
-        throw;
     }
-    for (std::thread &w : threads)
-        w.join();
+    if (pool.error_)
+        std::rethrow_exception(pool.error_);
 }
 
 std::string
@@ -267,14 +356,6 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
     }
     jobs = int(std::min<size_t>(size_t(jobs), groups.size()));
 
-    std::mutex errMu;
-    std::string firstError;
-    const auto recordError = [&](const char *what) {
-        std::lock_guard<std::mutex> lock(errMu);
-        if (firstError.empty())
-            firstError = what;
-    };
-
     // Row streaming (cfg.onRow): completion states per point, emitted
     // strictly in point-index order behind an advancing frontier.
     // Workers mark points done as units land. Encoding: 0 pending,
@@ -352,76 +433,86 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         return t;
     };
 
-    // One work unit: acquire the group's trace, replay it through all
-    // of its configurations in a single pass, and publish; results
-    // land by point index power-complete (the power model is fused
-    // into the replay's finish path — see sim::CoreModel::finish).
-    // The trace is dropped when the unit ends.
-    const auto executeGroup = [&](size_t gi) {
-        try {
-            const TraceGroup &g = groups[gi];
-            trace::MixStats mix;
-            const trace::PackedTrace t =
-                acquireTrace(points[g.points.front()], &mix);
-            // Partition the group's points by fault scenario: a fused
-            // traversal perturbs every model it steps, so points with
-            // different faults (or none) replay in separate traversals
-            // over the SAME shared trace — capture identity is
-            // fault-blind (faults perturb replay, never capture).
-            // Partition order is first-occurrence point order, so
-            // results stay a pure function of the grid.
-            std::vector<sim::SimResult> sims;
-            bool anyFault = false;
-            for (size_t j : g.points)
-                anyFault = anyFault || points[j].faultId != 0;
-            if (!anyFault) {
-                sims = sim::simulateTraceMany(t, g.configs,
-                                              cfg.warmupPasses);
-            } else {
-                sims.resize(g.points.size());
-                std::vector<char> simDone(g.points.size(), 0);
-                for (size_t j = 0; j < g.points.size(); ++j) {
-                    if (simDone[j])
-                        continue;
-                    const sim::FaultSpec &fault =
-                        points[g.points[j]].fault();
-                    const uint64_t fp = fault.fingerprint();
-                    std::vector<size_t> part;
-                    std::vector<sim::CoreConfig> partCfgs;
-                    for (size_t k = j; k < g.points.size(); ++k) {
-                        if (simDone[k] ||
-                            points[g.points[k]].fault().fingerprint() !=
-                                fp)
-                            continue;
-                        simDone[k] = 1;
-                        part.push_back(k);
-                        partCfgs.push_back(g.configs[k]);
-                    }
-                    auto partSims = sim::simulateTraceMany(
-                        t, partCfgs, fault, cfg.warmupPasses);
-                    for (size_t k = 0; k < part.size(); ++k)
-                        sims[part[k]] = std::move(partSims[k]);
-                }
+    // Publish a unit: results land by point index power-complete (the
+    // power model is fused into the replay's finish path — see
+    // sim::CoreModel::finish).
+    const UnitReplay::Publish publish = [&](UnitReplay &u) {
+        const TraceGroup &g = groups[u.group];
+        {
+            obs::Span span(obs::Phase::Publish, g.points.size());
+            for (size_t j = 0; j < g.points.size(); ++j) {
+                const size_t idx = g.points[j];
+                const SweepPoint &p = points[idx];
+                SweepResult &r = results[idx];
+                r.run = core::KernelRun{};
+                r.run.mix = u.mix;
+                r.run.sim = std::move(u.sims[j]);
+                if (cfg.cache)
+                    cfg.cache->store(keyFor(p, cfg.warmupPasses), r.run);
             }
-            {
-                obs::Span publish(obs::Phase::Publish, g.points.size());
-                for (size_t j = 0; j < g.points.size(); ++j) {
-                    const size_t idx = g.points[j];
-                    const SweepPoint &p = points[idx];
-                    SweepResult &r = results[idx];
-                    r.run = core::KernelRun{};
-                    r.run.mix = mix;
-                    r.run.sim = std::move(sims[j]);
-                    if (cfg.cache)
-                        cfg.cache->store(keyFor(p, cfg.warmupPasses),
-                                         r.run);
-                }
-            }
-            for (size_t idx : g.points)
-                rowComplete(idx);
-        } catch (const std::exception &e) {
-            recordError(e.what());
         }
+        for (size_t idx : g.points)
+            rowComplete(idx);
+    };
+
+    // One work unit: acquire the group's trace, replay it through all
+    // of its configurations in a single pass (lanes of which idle
+    // workers may take over), and publish once every lane is done.
+    const auto executeGroup = [&](size_t gi, UnitPool &pool) {
+        const TraceGroup &g = groups[gi];
+        const auto unit = std::make_shared<UnitReplay>(gi, publish);
+        unit->trace = acquireTrace(points[g.points.front()], &unit->mix);
+        unit->sims.resize(g.points.size());
+        // Partition the group's points by fault scenario: a fused
+        // traversal perturbs every model it steps, so points with
+        // different faults (or none) replay in separate traversals
+        // over the SAME shared trace — capture identity is
+        // fault-blind (faults perturb replay, never capture).
+        // Partition order is first-occurrence point order, so
+        // results stay a pure function of the grid. Faulted
+        // traversals never split: their observer sees every model
+        // at each boundary.
+        bool anyFault = false;
+        for (size_t j : g.points)
+            anyFault = anyFault || points[j].faultId != 0;
+        if (!anyFault) {
+            unit->lanesLeft = g.configs.size();
+            bool last = false;
+            {
+                obs::Span span(obs::Phase::Replay,
+                               uint64_t(unit->trace.size()) *
+                                   g.configs.size() *
+                                   uint64_t(cfg.warmupPasses + 1));
+                sim::ReplayPiece piece = sim::startReplay(
+                    unit->trace, g.configs, cfg.warmupPasses);
+                last = runLanes(pool, unit, piece);
+            }
+            if (last)
+                publish(*unit);
+            return;
+        }
+        std::vector<char> simDone(g.points.size(), 0);
+        for (size_t j = 0; j < g.points.size(); ++j) {
+            if (simDone[j])
+                continue;
+            const sim::FaultSpec &fault = points[g.points[j]].fault();
+            const uint64_t fp = fault.fingerprint();
+            std::vector<size_t> part;
+            std::vector<sim::CoreConfig> partCfgs;
+            for (size_t k = j; k < g.points.size(); ++k) {
+                if (simDone[k] ||
+                    points[g.points[k]].fault().fingerprint() != fp)
+                    continue;
+                simDone[k] = 1;
+                part.push_back(k);
+                partCfgs.push_back(g.configs[k]);
+            }
+            auto partSims = sim::simulateTraceMany(
+                unit->trace, partCfgs, fault, cfg.warmupPasses);
+            for (size_t k = 0; k < part.size(); ++k)
+                unit->sims[part[k]] = std::move(partSims[k]);
+        }
+        publish(*unit);
     };
 
     // Stamp the run's shape on the active telemetry instance.
@@ -433,9 +524,12 @@ runSweep(const std::vector<SweepPoint> &points, const SchedulerConfig &cfg)
         t->setMeta(m);
     }
 
-    forEachUnit(groups.size(), jobs, executeGroup);
-    if (!firstError.empty())
-        throw std::runtime_error("sweep worker failed: " + firstError);
+    try {
+        forEachUnit(groups.size(), jobs, executeGroup);
+    } catch (const std::exception &e) {
+        throw std::runtime_error(std::string("sweep worker failed: ") +
+                                 e.what());
+    }
     return results;
 }
 

@@ -470,6 +470,9 @@ class PackedTrace
         /** Rewind to the first instruction. */
         void reset();
 
+        /** Records still to decode. */
+        uint64_t remaining() const { return left_; }
+
         /**
          * Checked decode: false once this cursor has observed a
          * malformed stream — a record truncated by the varint stream

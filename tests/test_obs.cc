@@ -81,6 +81,7 @@ TEST(ObsPhase, NamesAreStableAndDistinct)
     }
     EXPECT_EQ(obs::name(obs::Phase::Replay), "replay");
     EXPECT_EQ(obs::name(obs::Phase::GridExpand), "grid_expand");
+    EXPECT_EQ(obs::name(obs::Phase::ReplayResume), "replay_resume");
 }
 
 TEST_F(ObsFixture, SpanIsInertWithoutACollector)
@@ -180,6 +181,21 @@ TEST(ObsReport, AggregatesPerPhase)
     EXPECT_EQ(report.cache.misses, 4u);
     // replay throughput = argTotal / wall seconds, in M/s.
     EXPECT_NEAR(report.replayMinstrPerS(), 100.0 * 1e3 / 900.0, 1e-9);
+}
+
+TEST(ObsReport, ReplayThroughputCountsResumedLanesTime)
+{
+    // A replay span's arg covers its whole unit, donated lanes
+    // included; the resume spans that stepped those lanes add their
+    // wall time, not their arg (a lane count).
+    std::vector<obs::SpanRec> records = {
+        rec(obs::Phase::Replay, 0, 600, 900),
+        rec(obs::Phase::ReplayResume, 300, 600, 2),
+    };
+    const auto report = obs::buildReport(records, obs::RunMeta{}, 0,
+                                         sweep::CacheStats{});
+    EXPECT_EQ(report.phases[size_t(obs::Phase::ReplayResume)].count, 1u);
+    EXPECT_NEAR(report.replayMinstrPerS(), 900.0 * 1e3 / 900.0, 1e-9);
 }
 
 TEST(ObsReport, JsonAndChromeTraceSerialize)

@@ -6,12 +6,19 @@
  * in-order and out-of-order configurations, any warm-up pass count,
  * config groups of 1..4, and streams with mid-trace id restarts (the
  * concatenated traces the perf smoke replays). Also covers the
- * corrupt-trace rejection path.
+ * corrupt-trace rejection path, and lane donation (sim::ReplayDonor):
+ * a traversal split at batch boundaries, its pieces resumed later on
+ * other threads, reproduces the unsplit traversal bit for bit.
  */
 
+#include <cstring>
 #include <memory>
 #include <random>
 #include <span>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -441,4 +448,135 @@ TEST(FusedReplay, EmptySpanAndEmptyTraceAreNoOps)
     model.beginMeasurement();
     const auto r = model.finish();
     EXPECT_EQ(r.instrs, 0u);
+}
+
+namespace
+{
+
+/**
+ * A donor that is always hungry: every batch boundary of a traversal
+ * with two lanes or more splits it. It keeps the donated pieces, and
+ * drain() runs them afterwards on another thread, newest first, each
+ * through this same donor (so pieces split again).
+ */
+struct HoardingDonor final : sim::ReplayDonor
+{
+    const PackedTrace &trace;
+    std::vector<sim::ReplayPiece> pieces;
+    size_t donated = 0;
+
+    explicit HoardingDonor(const PackedTrace &t) : trace(t) {}
+
+    bool hungry() const override { return true; }
+
+    void
+    donate(sim::ReplayPiece piece) override
+    {
+        ++donated;
+        pieces.push_back(std::move(piece));
+    }
+
+    void
+    drain(sim::SimResult *out)
+    {
+        std::thread([&] {
+            while (!pieces.empty()) {
+                sim::ReplayPiece p = std::move(pieces.back());
+                pieces.pop_back();
+                sim::resumeReplay(trace, p, this, out);
+            }
+        }).join();
+    }
+};
+
+} // namespace
+
+TEST(LaneDonation, SplitTraversalsMatchTheUnsplitOne)
+{
+    const auto *spec = core::Registry::instance().find("ZL/adler32");
+    ASSERT_NE(spec, nullptr);
+    auto w = spec->make(core::Options());
+    const auto packed =
+        PackedTrace::pack(core::Runner::capture(*w, core::Impl::Neon, 128));
+    ASSERT_GT(packed.size(), 4 * PackedTrace::kBlockInstrs);
+
+    // 12 lanes cross the 8-lane LaneBlock; silver lanes (in order) sit
+    // among the out-of-order ones.
+    std::vector<sim::CoreConfig> all = fourCores();
+    for (int w2 = 2; w2 <= 9; ++w2)
+        all.push_back(w2 % 3 ? sim::scalabilityConfig(w2, 2 + w2 % 3)
+                             : sim::silverConfig());
+    ASSERT_EQ(all.size(), 12u);
+
+    for (int warmup : {0, 1, 2}) {
+        // Each model only sees the instruction stream: the first n
+        // results of a 12-lane traversal are the n-lane results.
+        const auto ref = sim::simulateTraceMany(packed, all, warmup);
+        for (size_t n = 1; n <= all.size(); ++n) {
+            const std::vector<sim::CoreConfig> cfgs(all.begin(),
+                                                    all.begin() + long(n));
+            std::vector<sim::SimResult> got(n);
+            HoardingDonor donor(packed);
+            sim::ReplayPiece piece = sim::startReplay(packed, cfgs, warmup);
+            sim::resumeReplay(packed, piece, &donor, got.data());
+            EXPECT_EQ(piece.models.size(), 1u);
+            donor.drain(got.data());
+            // Every split hands off at least one lane, and the lanes
+            // end up one per piece.
+            EXPECT_EQ(donor.donated, n - 1) << "n=" << n;
+            for (size_t i = 0; i < n; ++i) {
+                SCOPED_TRACE("warmup=" + std::to_string(warmup) +
+                             " n=" + std::to_string(n) +
+                             " lane=" + std::to_string(i));
+                expectSameResult(got[i], ref[i]);
+            }
+        }
+    }
+}
+
+TEST(LaneDonation, OneLaneNeverSplits)
+{
+    const auto packed = PackedTrace::pack(randomTrace(5000, 157));
+    HoardingDonor donor(packed);
+    std::vector<sim::SimResult> got(1);
+    sim::ReplayPiece one = sim::startReplay(packed, {sim::primeConfig()}, 1);
+    sim::resumeReplay(packed, one, &donor, got.data());
+    EXPECT_EQ(donor.donated, 0u);
+    expectSameResult(got[0], runOnInstr(randomTrace(5000, 157),
+                                        sim::primeConfig(), 1));
+}
+
+TEST(LaneDonation, DonatedLanesOfAMalformedTraceThrow)
+{
+    // A payload whose header claims one record fewer than its streams
+    // hold: the checked decode notices only at the end of a pass, so
+    // every piece runs its whole pass and then rejects the stream.
+    const auto packed = PackedTrace::pack(randomTrace(6000, 163));
+    const auto header = packed.payloadHeader();
+    uint64_t count = 0;
+    std::memcpy(&count, header.data(), sizeof count);
+    ASSERT_EQ(count, packed.size());
+    std::vector<uint8_t> lying(header.begin(), header.end());
+    --count;
+    std::memcpy(lying.data(), &count, sizeof count);
+    const std::string body(
+        reinterpret_cast<const char *>(packed.payloadBody()),
+        packed.byteSize());
+    std::istringstream in(body);
+    PackedTrace bad;
+    ASSERT_TRUE(
+        PackedTrace::readPayload(lying.data(), in, body.size(), &bad));
+
+    std::vector<sim::SimResult> got(4);
+    HoardingDonor donor(bad);
+    sim::ReplayPiece piece = sim::startReplay(bad, fourCores(), 1);
+    EXPECT_THROW(sim::resumeReplay(bad, piece, &donor, got.data()),
+                 std::runtime_error);
+    ASSERT_GT(donor.pieces.size(), 0u);
+    while (!donor.pieces.empty()) {
+        sim::ReplayPiece p = std::move(donor.pieces.back());
+        donor.pieces.pop_back();
+        EXPECT_THROW(sim::resumeReplay(bad, p, &donor, got.data()),
+                     std::runtime_error);
+    }
 }
